@@ -200,29 +200,30 @@ def _make_dev_trials(utts: dm.UtteranceSet, n_trials: int, target_ratio: float,
     for u in utts:
         by_spk.setdefault(u.speaker_id, []).append(u.id)
     speakers = sorted(by_spk)
+    # distinct ordered pairs each label can supply; asking for more never ends
+    sizes = [len(ids) for ids in by_spk.values()]
+    n_target = sum(n * (n - 1) for n in sizes) if target_ratio > 0 else 0
+    n_nontarget = sum(sizes) ** 2 - sum(n * n for n in sizes) if target_ratio < 1 else 0
+    if n_trials > n_target + n_nontarget:
+        raise ConfigError(f"[simulate] n_dev_trials = {n_trials} exceeds the "
+                          f"{n_target + n_nontarget} distinct trials the dev set can form")
     trials = []
     seen = set()
     while len(trials) < n_trials:
         if rng.random() < target_ratio:
-            spk = speakers[int(rng.integers(len(speakers)))]
-            ids = by_spk[spk]
+            ids = by_spk[speakers[int(rng.integers(len(speakers)))]]
             if len(ids) < 2:
                 continue
             i, j = rng.choice(len(ids), size=2, replace=False)
-            key = (ids[int(i)], ids[int(j)])
-            if key in seen:
-                continue
-            seen.add(key)
-            trials.append(dm.Trial(key[0], key[1], dm.TARGET))
+            key, label = (ids[int(i)], ids[int(j)]), dm.TARGET
         else:
             si, sj = rng.choice(len(speakers), size=2, replace=False)
             a = by_spk[speakers[int(si)]]
             b = by_spk[speakers[int(sj)]]
-            key = (a[int(rng.integers(len(a)))], b[int(rng.integers(len(b)))])
-            if key in seen:
-                continue
+            key, label = (a[int(rng.integers(len(a)))], b[int(rng.integers(len(b)))]), dm.NONTARGET
+        if key not in seen:
             seen.add(key)
-            trials.append(dm.Trial(key[0], key[1], dm.NONTARGET))
+            trials.append(dm.Trial(key[0], key[1], label))
     return trials
 
 
@@ -349,9 +350,11 @@ def _load_dev(cfg: Config, kind: str):
     return reader(dev_path), dm.read_trials(trials_path)
 
 
-def _report_row(model: str, pooling: str, init: str, eer_val: float, cmin: float):
+def _report_row(model: str, pooling: str, init: str, scored: dm.ScoredTrialSet,
+                weights: metrics_mod.DcfWeights):
+    report = metrics_mod.evaluate(scored, weights)
     print(f"{'model':<8} {'pooling':<8} {'init':<12} {'EER%':>7} {'C_Min':>7}")
-    print(f"{model:<8} {pooling:<8} {init:<12} {100 * eer_val:>7.2f} {cmin:>7.3f}")
+    print(f"{model:<8} {pooling:<8} {init:<12} {100 * report.eer:>7.2f} {report.min_dcf:>7.3f}")
 
 
 def _sample_batches(cfg: Config, utts, seed: int) -> list[sampling.TrialBatch]:
@@ -401,8 +404,7 @@ def cmd_train(args) -> int:
         dev_set, dev_trials = _load_dev(cfg, "embeddings")
         if dev_set is not None:
             scored = gplda_mod.score_trials(model, dev_trials, dev_set)
-            report = metrics_mod.evaluate(scored, weights)
-            _report_row("gplda", "-", "-", report.eer, report.min_dcf)
+            _report_row("gplda", "-", "-", scored, weights)
         print(f"wrote {args.out}")
         return 0
 
@@ -410,36 +412,16 @@ def cmd_train(args) -> int:
         if not args.init:
             raise ConfigError("train nplda requires --init <gplda checkpoint>")
         train_set = dm.read_embeddings(cfg.get("data", "train_embeddings"))
-        model = gplda_mod.load_model(args.init)
+        gplda_model = gplda_mod.load_model(args.init)
         dev_set, dev_trials = _load_dev(cfg, "embeddings")
         dev_scored = None
         if dev_set is not None:
-            dev_scored = gplda_mod.score_trials(model, dev_trials, dev_set)
-        params = nplda_mod.init_from_gplda(model, dev_scored, weights)
-        batches = _sample_batches(cfg, train_set, seed)
-        best, trace = nplda_mod.train(
-            params,
-            batches,
-            loss_cfg,
-            epochs=cfg.getint("optimizer", "epochs"),
-            seed=seed,
-            dev_trials=dev_trials,
-            dev_embeddings=dev_set,
-            lr=cfg.getfloat("optimizer", "lr"),
-            patience=cfg.getint("optimizer", "patience"),
-        )
-        nplda_mod.save_nplda(best, args.out)
-        _resolved_next_to(cfg, args.out)
-        if args.trace:
-            nplda_mod.write_trace(trace, args.trace)
-        if dev_set is not None:
-            scored = nplda_mod.score_trials(best, dev_trials, dev_set)
-            report = metrics_mod.evaluate(scored, weights)
-            _report_row("nplda", "-", os.path.basename(args.init), report.eer, report.min_dcf)
-        print(f"wrote {args.out}")
-        return 0
-
-    if args.kind == "e2e":
+            dev_scored = gplda_mod.score_trials(gplda_model, dev_trials, dev_set)
+        model = nplda_mod.init_from_gplda(gplda_model, dev_scored, weights)
+        train, save, score = nplda_mod.train, nplda_mod.save_nplda, nplda_mod.score_trials
+        row = ("nplda", "-", os.path.basename(args.init))
+        extra = {}
+    elif args.kind == "e2e":
         train_set = dm.read_features(cfg.get("data", "train_features"))
         e2e_cfg = _e2e_config(cfg)
         head = None
@@ -453,40 +435,34 @@ def cmd_train(args) -> int:
             if head is not None:
                 model.head = head.copy()
             init_name = os.path.basename(args.extractor)
-        batches = _sample_batches(cfg, train_set, seed)
         dev_set, dev_trials = _load_dev(cfg, "features")
-        dev_batch = None
-        if dev_set is not None:
-            dev_batch = sampling.TrialBatch(
-                utterances=list(dev_set),
-                enroll_ids=[t.enroll_id for t in dev_trials],
-                test_ids=[t.test_id for t in dev_trials],
-                trials=dev_trials,
-                tag="dev",
-            )
-        best, trace = e2e_mod.train_e2e(
-            model,
-            batches,
-            loss_cfg,
-            epochs=cfg.getint("optimizer", "epochs"),
-            seed=seed,
-            dev_batch=dev_batch,
-            lr=cfg.getfloat("optimizer", "lr"),
-            patience=cfg.getint("optimizer", "patience"),
-            freeze_prefix=cfg.getint("e2e", "freeze_prefix"),
-        )
-        e2e_mod.save_e2e(best, args.out)
-        _resolved_next_to(cfg, args.out)
-        if args.trace:
-            nplda_mod.write_trace(trace, args.trace)
-        if dev_batch is not None:
-            scored = e2e_mod.score_trial_batch(best, dev_batch)
-            report = metrics_mod.evaluate(scored, weights)
-            _report_row("e2e", e2e_cfg.pooling, init_name, report.eer, report.min_dcf)
-        print(f"wrote {args.out}")
-        return 0
+        train, save, score = e2e_mod.train_e2e, e2e_mod.save_e2e, e2e_mod.score_trials
+        row = ("e2e", e2e_cfg.pooling, init_name)
+        extra = {"freeze_prefix": cfg.getint("e2e", "freeze_prefix")}
+    else:
+        raise ConfigError(f"unknown training kind {args.kind!r}")
 
-    raise ConfigError(f"unknown training kind {args.kind!r}")
+    # both discriminative trainers take the dev trials and their data positionally
+    best, trace = train(
+        model,
+        _sample_batches(cfg, train_set, seed),
+        loss_cfg,
+        cfg.getint("optimizer", "epochs"),
+        seed,
+        dev_trials,
+        dev_set,
+        lr=cfg.getfloat("optimizer", "lr"),
+        patience=cfg.getint("optimizer", "patience"),
+        **extra,
+    )
+    save(best, args.out)
+    _resolved_next_to(cfg, args.out)
+    if args.trace:
+        nplda_mod.write_trace(trace, args.trace)
+    if dev_set is not None:
+        _report_row(*row, score(best, dev_trials, dev_set), weights)
+    print(f"wrote {args.out}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -500,26 +476,16 @@ def cmd_score(args) -> int:
     _, meta = load_params(args.model)
     kind = meta.get("kind", "")
     trials = dm.read_trials(args.trials)
-    if kind == "gplda":
-        model = gplda_mod.load_model(args.model)
-        scored = gplda_mod.score_trials(model, trials, dm.read_embeddings(args.data))
-    elif kind == "nplda":
-        params = nplda_mod.load_nplda(args.model)
-        scored = nplda_mod.score_trials(params, trials, dm.read_embeddings(args.data))
-    elif kind == "e2e":
-        model = e2e_mod.load_e2e(args.model)
-        utts = dm.read_features(args.data)
-        utts.resolve(trials)
-        batch = sampling.TrialBatch(
-            utterances=list(utts),
-            enroll_ids=[t.enroll_id for t in trials],
-            test_ids=[t.test_id for t in trials],
-            trials=trials,
-            tag="score",
-        )
-        scored = e2e_mod.score_trial_batch(model, batch)
-    else:
+    # checkpoint kind -> (loader, scorer, reader of the --data file)
+    kinds = {
+        "gplda": (gplda_mod.load_model, gplda_mod.score_trials, dm.read_embeddings),
+        "nplda": (nplda_mod.load_nplda, nplda_mod.score_trials, dm.read_embeddings),
+        "e2e": (e2e_mod.load_e2e, e2e_mod.score_trials, dm.read_features),
+    }
+    if kind not in kinds:
         raise ConfigError(f"{args.model}: unknown checkpoint kind {kind!r}")
+    load, score, read = kinds[kind]
+    scored = score(load(args.model), trials, read(args.data))
     dm.write_scores(scored, args.out)
     print(f"wrote {args.out} ({len(scored)} trials)")
     return 0

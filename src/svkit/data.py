@@ -192,14 +192,7 @@ class UtteranceSet:
 
     def resolve(self, trials: list[Trial]) -> None:
         """Raise MissingIdError listing every unresolvable trial id."""
-        missing: dict[str, None] = {}
-        for t in trials:
-            if t.enroll_id not in self._by_id:
-                missing.setdefault(t.enroll_id, None)
-            if t.test_id not in self._by_id:
-                missing.setdefault(t.test_id, None)
-        if missing:
-            raise MissingIdError(list(missing))
+        pair_index(trials, self)
 
     def embedding_matrix(self, ids: list[str] | None = None) -> np.ndarray:
         """Stack embedding payloads into an (n, D) matrix."""
@@ -209,6 +202,23 @@ class UtteranceSet:
     def speaker_labels(self, ids: list[str] | None = None) -> list[str]:
         utts = self.utterances if ids is None else [self[i] for i in ids]
         return [u.speaker_id for u in utts]
+
+
+def pair_index(trials: list[Trial], lookup) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Sorted unique ids the trials reference and each trial's two rows in them.
+
+    ``lookup`` is any container of utterance ids (an UtteranceSet or a dict
+    keyed by id).  Every referenced id missing from it is reported, sorted,
+    by one MissingIdError.
+    """
+    ids = sorted({t.enroll_id for t in trials} | {t.test_id for t in trials})
+    missing = [u for u in ids if u not in lookup]
+    if missing:
+        raise MissingIdError(missing)
+    index = {u: i for i, u in enumerate(ids)}
+    e_idx = np.array([index[t.enroll_id] for t in trials])
+    t_idx = np.array([index[t.test_id] for t in trials])
+    return ids, e_idx, t_idx
 
 
 # ---------------------------------------------------------------------------

@@ -21,26 +21,21 @@ import numpy as np
 
 from . import nplda
 from .checkpoint import load_params, save_params
-from .data import FeatureMatrix, ScoredTrialSet, Trial
-from .errors import ArgumentError, LengthError, MissingIdError, NumericalError, StateError
-from .metrics import eer, min_dcf
+from .data import FeatureMatrix, ScoredTrialSet, Trial, UtteranceSet, pair_index
+from .errors import ArgumentError, LengthError, StateError
 from .nn import (
     POOL_STDDEV,
     POOL_VARIANCE,
-    adam_init,
-    adam_step,
+    _tdnn_pre,
     affine,
     affine_backward,
-    length_norm,
-    length_norm_backward,
-    quadratic_score,
-    quadratic_score_backward,
+    relu,
     stats_pool,
     stats_pool_backward,
     tdnn_layer,
     tdnn_layer_backward,
 )
-from .nplda import LossConfig, NpldaParams, TraceRow
+from .nplda import LossConfig, NpldaParams
 from .sampling import TrialBatch
 
 
@@ -162,18 +157,23 @@ class E2EModel:
         return out
 
     def from_dict(self, d: dict[str, np.ndarray]) -> "E2EModel":
-        n = len(self.tdnn_W)
-        head = NpldaParams.from_dict(
-            {k.split(".", 1)[1]: v for k, v in d.items() if k.startswith("head.")}
-        )
-        return E2EModel(
-            config=self.config,
-            tdnn_W=[np.asarray(d[f"tdnn{i}.W"], dtype=np.float64) for i in range(n)],
-            tdnn_b=[np.asarray(d[f"tdnn{i}.b"], dtype=np.float64) for i in range(n)],
-            emb_W=np.asarray(d["emb.W"], dtype=np.float64),
-            emb_b=np.asarray(d["emb.b"], dtype=np.float64),
-            head=head,
-        )
+        return _model_from_dict(self.config, d)
+
+
+def _model_from_dict(cfg: E2EConfig, d: dict[str, np.ndarray]) -> E2EModel:
+    """The model of config ``cfg`` with the parameters named as in to_dict."""
+    n = len(cfg.layers)
+    head = NpldaParams.from_dict(
+        {k.split(".", 1)[1]: v for k, v in d.items() if k.startswith("head.")}
+    )
+    return E2EModel(
+        config=cfg,
+        tdnn_W=[np.asarray(d[f"tdnn{i}.W"], dtype=np.float64) for i in range(n)],
+        tdnn_b=[np.asarray(d[f"tdnn{i}.b"], dtype=np.float64) for i in range(n)],
+        emb_W=np.asarray(d["emb.W"], dtype=np.float64),
+        emb_b=np.asarray(d["emb.b"], dtype=np.float64),
+        head=head,
+    )
 
 
 def init_e2e(cfg: E2EConfig, seed: int, head: NpldaParams | None = None) -> E2EModel:
@@ -248,33 +248,47 @@ def _extract_backward(model: E2EModel, cache, demb: np.ndarray, grads: dict) -> 
         grads[f"tdnn{i}.b"] += db
 
 
-def _batch_embeddings(model: E2EModel, batch: TrialBatch, with_cache: bool):
-    lookup = batch.utterance_by_id()
-    missing = sorted(
-        {i for t in batch.trials for i in (t.enroll_id, t.test_id) if i not in lookup}
-    )
-    if missing:
-        raise MissingIdError(missing)
-    ids = sorted(lookup)
+def _trial_embeddings(model: E2EModel, trials: list[Trial], lookup, with_cache: bool):
+    """Embed each utterance the trials reference once, in sorted id order."""
+    ids, e_idx, t_idx = pair_index(trials, lookup)
     embs, caches = [], []
     for u in ids:
         emb, cache = _extract_with_cache(model, _frames_of(lookup[u].payload))
         embs.append(emb)
         caches.append(cache if with_cache else None)
-    index = {u: i for i, u in enumerate(ids)}
-    e_idx = np.array([index[t.enroll_id] for t in batch.trials])
-    t_idx = np.array([index[t.test_id] for t in batch.trials])
     return np.stack(embs), caches, e_idx, t_idx
 
 
+def _model_grads(model: E2EModel, head_grads: dict, caches, dX: np.ndarray) -> dict:
+    """Head gradients under their checkpoint names plus the extractor's.
+
+    Row u of dX is the gradient at the embedding cached in caches[u].
+    """
+    grads: dict[str, np.ndarray] = {f"head.{name}": g for name, g in head_grads.items()}
+    for i, (W, b) in enumerate(zip(model.tdnn_W, model.tdnn_b)):
+        grads[f"tdnn{i}.W"] = np.zeros_like(W)
+        grads[f"tdnn{i}.b"] = np.zeros_like(b)
+    grads["emb.W"] = np.zeros_like(model.emb_W)
+    grads["emb.b"] = np.zeros_like(model.emb_b)
+    for u, cache in enumerate(caches):
+        _extract_backward(model, cache, dX[u], grads)
+    return grads
+
+
+def score_trials(model: E2EModel, trials: list[Trial], utts) -> ScoredTrialSet:
+    """Embed each referenced utterance once, then score every trial pair.
+
+    ``utts`` is an UtteranceSet of feature matrices or a dict of utterances
+    keyed by id.
+    """
+    X, _, e_idx, t_idx = _trial_embeddings(model, trials, utts, with_cache=False)
+    scores, _ = nplda._head_forward(model.head, X, e_idx, t_idx)
+    return ScoredTrialSet(list(trials), np.atleast_1d(scores))
+
+
 def score_trial_batch(model: E2EModel, batch: TrialBatch) -> ScoredTrialSet:
-    """Embed each unique utterance once, then score every trial pair."""
-    X, _, e_idx, t_idx = _batch_embeddings(model, batch, with_cache=False)
-    acts = nplda.embed(model.head, X)
-    scores = quadratic_score(
-        acts[e_idx], acts[t_idx], model.head.p, model.head.q, model.head.k
-    )
-    return ScoredTrialSet(list(batch.trials), np.atleast_1d(scores))
+    """score_trials over a batch's trials and utterances."""
+    return score_trials(model, batch.trials, batch.utterance_by_id())
 
 
 def score_with_grads(model: E2EModel, frames_e, frames_t):
@@ -286,36 +300,12 @@ def score_with_grads(model: E2EModel, frames_e, frames_t):
     """
     emb_e, cache_e = _extract_with_cache(model, _frames_of(frames_e))
     emb_t, cache_t = _extract_with_cache(model, _frames_of(frames_t))
-    head = model.head
-    X = np.stack([emb_e, emb_t])
-    h1 = affine(X, head.W1, head.b1)
-    z = length_norm(h1)
-    acts = affine(z, head.W2, head.b2)
-    score = quadratic_score(acts[0], acts[1], head.p, head.q, head.k)
-
-    de, dt, dp, dq, dk = quadratic_score_backward(1.0, acts[0], acts[1], head.p, head.q)
-    dacts = np.stack([de, dt])
-    dz, dW2, db2 = affine_backward(dacts, z, head.W2)
-    dh1 = length_norm_backward(dz, h1)
-    dX, dW1, db1 = affine_backward(dh1, X, head.W1)
-    grads: dict[str, np.ndarray] = {
-        "head.W1": dW1,
-        "head.b1": db1,
-        "head.W2": dW2,
-        "head.b2": db2,
-        "head.p": dp,
-        "head.q": dq,
-        "head.k": np.float64(dk),
-        "head.theta": np.float64(0.0),
-    }
-    for i, (W, b) in enumerate(zip(model.tdnn_W, model.tdnn_b)):
-        grads[f"tdnn{i}.W"] = np.zeros_like(W)
-        grads[f"tdnn{i}.b"] = np.zeros_like(b)
-    grads["emb.W"] = np.zeros_like(model.emb_W)
-    grads["emb.b"] = np.zeros_like(model.emb_b)
-    _extract_backward(model, cache_e, dX[0], grads)
-    _extract_backward(model, cache_t, dX[1], grads)
-    return float(score), grads
+    scores, head_cache = nplda._head_forward(
+        model.head, np.stack([emb_e, emb_t]), np.array([0]), np.array([1])
+    )
+    head_grads, dX = nplda._head_backward(model.head, head_cache, np.ones(1))
+    head_grads["theta"] = np.float64(0.0)
+    return float(scores[0]), _model_grads(model, head_grads, [cache_e, cache_t], dX)
 
 
 def min_abs_preactivation(model: E2EModel, frames) -> float:
@@ -328,34 +318,22 @@ def min_abs_preactivation(model: E2EModel, frames) -> float:
     X = _frames_of(frames)
     closest = np.inf
     for layer, W, b in zip(model.config.layers, model.tdnn_W, model.tdnn_b):
-        offsets = np.asarray(layer.offsets, dtype=np.int64)
-        span = int(offsets.max() - offsets.min())
-        idx = np.arange(X.shape[0] - span)[:, None] + (offsets - offsets.min())[None, :]
-        X_cat = X[idx].reshape(idx.shape[0], -1)
-        pre = X_cat @ W.T + b
+        _, _, pre = _tdnn_pre(X, np.asarray(layer.offsets, dtype=np.int64), W, b)
         closest = min(closest, float(np.min(np.abs(pre))))
-        X = np.maximum(pre, 0.0)
+        X = relu(pre)
     return closest
 
 
 def batch_loss_and_grads(model: E2EModel, batch: TrialBatch, cfg: LossConfig):
     """Soft-DCF loss and gradients for the whole model on one batch."""
-    X, caches, e_idx, t_idx = _batch_embeddings(model, batch, with_cache=True)
+    X, caches, e_idx, t_idx = _trial_embeddings(
+        model, batch.trials, batch.utterance_by_id(), with_cache=True
+    )
     labels = np.array([1.0 if t.is_target else 0.0 for t in batch.trials])
     loss, head_grads, dX = nplda.stack_loss_and_grads(
         model.head, X, e_idx, t_idx, labels, cfg
     )
-    grads: dict[str, np.ndarray] = {
-        f"head.{name}": g for name, g in head_grads.items()
-    }
-    for i, (W, b) in enumerate(zip(model.tdnn_W, model.tdnn_b)):
-        grads[f"tdnn{i}.W"] = np.zeros_like(W)
-        grads[f"tdnn{i}.b"] = np.zeros_like(b)
-    grads["emb.W"] = np.zeros_like(model.emb_W)
-    grads["emb.b"] = np.zeros_like(model.emb_b)
-    for u, cache in enumerate(caches):
-        _extract_backward(model, cache, dX[u], grads)
-    return loss, grads
+    return loss, _model_grads(model, head_grads, caches, dX)
 
 
 def train_e2e(
@@ -364,66 +342,26 @@ def train_e2e(
     cfg: LossConfig,
     epochs: int,
     seed: int,
-    dev_batch: TrialBatch | None = None,
+    dev_trials: list[Trial] | None = None,
+    dev_features: UtteranceSet | None = None,
     lr: float = nplda.DEFAULT_LR,
     patience: int = 3,
     freeze_prefix: int = 0,
 ):
     """Joint Adam training of extractor, head, and threshold.
 
-    ``freeze_prefix`` holds the first n TDNN layers at their initial values.
-    Returns the best-development checkpoint (final model without a dev
-    batch) and the per-epoch trace.
+    With ``dev_trials`` and ``dev_features`` (feature matrices of the
+    utterances those trials reference) it returns the best-development
+    checkpoint and halves the learning rate after ``patience`` epochs
+    without improvement; without them, the final model.  ``freeze_prefix``
+    holds the first n TDNN layers at their initial values.  Returns the
+    model and the per-epoch trace.
     """
-    if not batches:
-        raise ArgumentError("no training batches")
-    rng = np.random.default_rng(seed)
-    current = model.copy()
-    state = adam_init(current.to_dict(), lr=lr)
-    frozen = {f"tdnn{i}.{s}" for i in range(freeze_prefix) for s in ("W", "b")}
-
-    def dev_metrics(m: E2EModel):
-        scored = score_trial_batch(m, dev_batch)
-        cost, _ = min_dcf(scored, cfg.weights)
-        return eer(scored), cost
-
-    best = current.copy()
-    best_cost = np.inf
-    since_improved = 0
-    if dev_batch is not None:
-        _, best_cost = dev_metrics(current)
-    trace: list[TraceRow] = []
-    for epoch in range(1, epochs + 1):
-        order = rng.permutation(len(batches))
-        losses = []
-        for bi in order:
-            batch = batches[int(bi)]
-            loss, grads = batch_loss_and_grads(current, batch, cfg)
-            if not np.isfinite(loss):
-                raise NumericalError(
-                    f"non-finite loss in epoch {epoch}, batch {batch.tag or int(bi)}"
-                )
-            for name in frozen:
-                grads[name] = np.zeros_like(grads[name])
-            current = current.from_dict(adam_step(current.to_dict(), grads, state))
-            losses.append(loss)
-        if dev_batch is not None:
-            dev_e, dev_c = dev_metrics(current)
-            if dev_c < best_cost:
-                best_cost = dev_c
-                best = current.copy()
-                since_improved = 0
-            else:
-                since_improved += 1
-                if since_improved >= patience:
-                    state.lr /= 2.0
-                    since_improved = 0
-        else:
-            dev_e, dev_c = float("nan"), float("nan")
-        trace.append(TraceRow(epoch, float(np.mean(losses)), dev_e, dev_c))
-    if dev_batch is None:
-        best = current
-    return best, trace
+    has_dev = dev_trials is not None and dev_features is not None
+    dev_score = (lambda m: score_trials(m, dev_trials, dev_features)) if has_dev else None
+    frozen = frozenset(f"tdnn{i}.{s}" for i in range(freeze_prefix) for s in ("W", "b"))
+    return nplda._fit(model, batches, cfg, epochs, seed, lr, patience,
+                      batch_loss_and_grads, dev_score, frozen)
 
 
 # ---------------------------------------------------------------------------
@@ -496,14 +434,4 @@ def load_e2e(path) -> E2EModel:
         head_lda_dim=int(meta["head_lda_dim"]),
         head_out_dim=int(meta["head_out_dim"]),
     )
-    head = NpldaParams.from_dict(
-        {k.split(".", 1)[1]: v for k, v in params.items() if k.startswith("head.")}
-    )
-    return E2EModel(
-        config=cfg,
-        tdnn_W=[params[f"tdnn{i}.W"] for i in range(n)],
-        tdnn_b=[params[f"tdnn{i}.b"] for i in range(n)],
-        emb_W=params["emb.W"],
-        emb_b=params["emb.b"],
-        head=head,
-    )
+    return _model_from_dict(cfg, params)

@@ -31,7 +31,7 @@ import scipy.linalg
 
 from . import nn
 from .checkpoint import load_params, save_params
-from .data import ScoredTrialSet, Trial, UtteranceSet
+from .data import ScoredTrialSet, Trial, UtteranceSet, pair_index
 from .errors import ArgumentError, NumericalError
 from .nn import quadratic_score
 
@@ -115,25 +115,6 @@ class ScoringForm:
 # ---------------------------------------------------------------------------
 
 
-def _scatter_matrices(X: np.ndarray, speakers: list[str]):
-    mean = X.mean(axis=0)
-    d = X.shape[1]
-    Sw = np.zeros((d, d))
-    Sb = np.zeros((d, d))
-    by_spk: dict[str, list[int]] = {}
-    for i, s in enumerate(speakers):
-        by_spk.setdefault(s, []).append(i)
-    for rows in by_spk.values():
-        Xi = X[rows]
-        mi = Xi.mean(axis=0)
-        dev = Xi - mi
-        Sw += dev.T @ dev
-        dm = mi - mean
-        Sb += len(rows) * np.outer(dm, dm)
-    n = X.shape[0]
-    return Sb / n, Sw / n, mean, len(by_spk)
-
-
 def fit_preprocess(
     embeddings, target_dim: int = DEFAULT_LDA_DIM, apply_length_norm: bool = True
 ) -> PreprocessChain:
@@ -144,9 +125,16 @@ def fit_preprocess(
     target dimension is clamped to min(D, n_speakers - 1) with a warning.
     """
     X, speakers = _as_matrix(embeddings)
-    Sb, Sw, mean, n_spk = _scatter_matrices(X, speakers)
+    counts, means, Sw = _speaker_stats(X, speakers)
+    n_spk = len(counts)
     if n_spk < 2:
         raise ArgumentError("LDA needs at least 2 speakers")
+    mean = X.mean(axis=0)
+    Sb = np.zeros_like(Sw)
+    for n_rows, mi in zip(counts, means):
+        dm = mi - mean
+        Sb += n_rows * np.outer(dm, dm)
+    Sb, Sw = Sb / X.shape[0], Sw / X.shape[0]
     d = X.shape[1]
     max_dim = min(d, n_spk - 1)
     if target_dim > max_dim:
@@ -183,15 +171,21 @@ def _as_matrix(embeddings) -> tuple[np.ndarray, list[str]]:
 
 
 def _speaker_stats(X: np.ndarray, speakers: list[str]):
+    """Per-speaker counts and means, and the within-speaker scatter.
+
+    Speakers are taken in order of first appearance and the scatter is
+    summed in that order.
+    """
     by_spk: dict[str, list[int]] = {}
     for i, s in enumerate(speakers):
         by_spk.setdefault(s, []).append(i)
-    counts = np.array([len(rows) for rows in by_spk.values()], dtype=np.int64)
-    means = np.stack([X[rows].mean(axis=0) for rows in by_spk.values()])
+    groups = list(by_spk.values())
+    counts = np.array([len(rows) for rows in groups], dtype=np.int64)
+    means = np.stack([X[rows].mean(axis=0) for rows in groups])
     d = X.shape[1]
     S_dev = np.zeros((d, d))
-    for rows in by_spk.values():
-        dev = X[rows] - X[rows].mean(axis=0)
+    for rows, mi in zip(groups, means):
+        dev = X[rows] - mi
         S_dev += dev.T @ dev
     return counts, means, S_dev
 
@@ -422,12 +416,8 @@ def score_pairs_dense(model: PldaModel, raw_e: np.ndarray, raw_t: np.ndarray) ->
 
 def score_trials(model: PldaModel, trials: list[Trial], embeddings: UtteranceSet) -> ScoredTrialSet:
     """Score labelled or unlabelled trials against raw embeddings."""
-    embeddings.resolve(trials)
-    ids = sorted({t.enroll_id for t in trials} | {t.test_id for t in trials})
-    index = {u: i for i, u in enumerate(ids)}
+    ids, e_idx, t_idx = pair_index(trials, embeddings)
     proc = model.transform(model.chain.apply(embeddings.embedding_matrix(ids)))
-    e_idx = np.array([index[t.enroll_id] for t in trials])
-    t_idx = np.array([index[t.test_id] for t in trials])
     scores = quadratic_score(proc[e_idx], proc[t_idx], model.p, model.q, model.k)
     return ScoredTrialSet(list(trials), np.atleast_1d(scores))
 

@@ -236,18 +236,8 @@ def quadratic_score_backward(ds, eta_e, eta_t, P, Q):
     P = np.asarray(P, dtype=np.float64)
     Q = np.asarray(Q, dtype=np.float64)
     if eta_e.ndim == 1:
-        if P.ndim == 1:
-            de = ds * (2.0 * Q * eta_e + 2.0 * P * eta_t)
-            dt = ds * (2.0 * Q * eta_t + 2.0 * P * eta_e)
-            dP = ds * 2.0 * eta_e * eta_t
-            dQ = ds * (eta_e**2 + eta_t**2)
-        else:
-            de = ds * (2.0 * (Q @ eta_e) + 2.0 * (P @ eta_t))
-            dt = ds * (2.0 * (Q @ eta_t) + 2.0 * (P @ eta_e))
-            dP = ds * 2.0 * np.outer(eta_e, eta_t)
-            dQ = ds * (np.outer(eta_e, eta_e) + np.outer(eta_t, eta_t))
-        dk = float(ds)
-        return de, dt, dP, dQ, dk
+        de, dt, dP, dQ, dk = quadratic_score_backward([ds], eta_e[None], eta_t[None], P, Q)
+        return de[0], dt[0], dP, dQ, dk
     ds = np.asarray(ds, dtype=np.float64)[:, None]
     if P.ndim == 1:
         de = ds * (2.0 * eta_e * Q + 2.0 * eta_t * P)

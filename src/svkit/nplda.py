@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import load_params, save_params
-from .data import ScoredTrialSet, Trial, UtteranceSet
+from .data import ScoredTrialSet, Trial, UtteranceSet, pair_index
 from .errors import (
     ArgumentError,
     BatchCompositionError,
@@ -189,13 +189,8 @@ def forward(params: NpldaParams, eta_e: np.ndarray, eta_t: np.ndarray):
 
 def score_trials(params: NpldaParams, trials: list[Trial], embeddings: UtteranceSet) -> ScoredTrialSet:
     """Score trials, embedding each referenced utterance exactly once."""
-    embeddings.resolve(trials)
-    ids = sorted({t.enroll_id for t in trials} | {t.test_id for t in trials})
-    index = {u: i for i, u in enumerate(ids)}
-    acts = embed(params, embeddings.embedding_matrix(ids))
-    e_idx = np.array([index[t.enroll_id] for t in trials])
-    t_idx = np.array([index[t.test_id] for t in trials])
-    scores = quadratic_score(acts[e_idx], acts[t_idx], params.p, params.q, params.k)
+    ids, e_idx, t_idx = pair_index(trials, embeddings)
+    scores, _ = _head_forward(params, embeddings.embedding_matrix(ids), e_idx, t_idx)
     return ScoredTrialSet(list(trials), np.atleast_1d(scores))
 
 
@@ -238,6 +233,42 @@ def soft_dcf_loss(scores: np.ndarray, labels: np.ndarray, theta: float, cfg: Los
 # ---------------------------------------------------------------------------
 
 
+def _head_forward(params: NpldaParams, X: np.ndarray, e_idx: np.ndarray, t_idx: np.ndarray):
+    """Scores of trials whose sides index the rows of X, and the backward cache."""
+    h1 = affine(X, params.W1, params.b1)
+    z = length_norm(h1)
+    acts = affine(z, params.W2, params.b2)
+    a_e, a_t = acts[e_idx], acts[t_idx]
+    scores = quadratic_score(a_e, a_t, params.p, params.q, params.k)
+    return scores, (X, h1, z, acts, a_e, a_t, e_idx, t_idx)
+
+
+def _head_backward(params: NpldaParams, cache, dscores: np.ndarray):
+    """Gradients of every parameter but theta, and dX, given d_loss/d_scores.
+
+    Trial-level gradients are scattered back onto the shared rows before the
+    stack backward, so each row of X receives the sum over its trials.
+    """
+    X, h1, z, acts, a_e, a_t, e_idx, t_idx = cache
+    de, dt, dp, dq, dk = quadratic_score_backward(dscores, a_e, a_t, params.p, params.q)
+    dacts = np.zeros_like(acts)
+    np.add.at(dacts, e_idx, de)
+    np.add.at(dacts, t_idx, dt)
+    dz, dW2, db2 = affine_backward(dacts, z, params.W2)
+    dh1 = length_norm_backward(dz, h1)
+    dX, dW1, db1 = affine_backward(dh1, X, params.W1)
+    grads = {
+        "W1": dW1,
+        "b1": db1,
+        "W2": dW2,
+        "b2": db2,
+        "p": dp,
+        "q": dq,
+        "k": np.float64(dk),
+    }
+    return grads, dX
+
+
 def stack_loss_and_grads(
     params: NpldaParams,
     X: np.ndarray,
@@ -253,32 +284,10 @@ def stack_loss_and_grads(
     is the gradient with respect to the input rows, which lets a front-end
     extractor continue the backward pass.
     """
-    h1 = affine(X, params.W1, params.b1)
-    z = length_norm(h1)
-    acts = affine(z, params.W2, params.b2)
-
-    a_e, a_t = acts[e_idx], acts[t_idx]
-    scores = quadratic_score(a_e, a_t, params.p, params.q, params.k)
+    scores, cache = _head_forward(params, X, e_idx, t_idx)
     loss, dscores, dtheta = soft_dcf_loss(scores, labels, params.theta, cfg)
-
-    de, dt, dp, dq, dk = quadratic_score_backward(dscores, a_e, a_t, params.p, params.q)
-    dacts = np.zeros_like(acts)
-    np.add.at(dacts, e_idx, de)
-    np.add.at(dacts, t_idx, dt)
-    dz, dW2, db2 = affine_backward(dacts, z, params.W2)
-    dh1 = length_norm_backward(dz, h1)
-    dX, dW1, db1 = affine_backward(dh1, X, params.W1)
-
-    grads = {
-        "W1": dW1,
-        "b1": db1,
-        "W2": dW2,
-        "b2": db2,
-        "p": dp,
-        "q": dq,
-        "k": np.float64(dk),
-        "theta": np.float64(dtheta if cfg.learn_theta else 0.0),
-    }
+    grads, dX = _head_backward(params, cache, dscores)
+    grads["theta"] = np.float64(dtheta if cfg.learn_theta else 0.0)
     return loss, grads, dX
 
 
@@ -289,11 +298,8 @@ def batch_loss_and_grads(params: NpldaParams, batch: TrialBatch, cfg: LossConfig
     scattered back onto the shared activations before the stack backward.
     """
     lookup = batch.utterance_by_id()
-    ids = sorted(lookup)
-    index = {u: i for i, u in enumerate(ids)}
+    ids, e_idx, t_idx = pair_index(batch.trials, lookup)
     X = np.stack([lookup[u].payload.vector for u in ids])
-    e_idx = np.array([index[t.enroll_id] for t in batch.trials])
-    t_idx = np.array([index[t.test_id] for t in batch.trials])
     labels = np.array([1.0 if t.is_target else 0.0 for t in batch.trials])
     loss, grads, _ = stack_loss_and_grads(params, X, e_idx, t_idx, labels, cfg)
     return loss, grads
@@ -332,22 +338,35 @@ def train(
     is given) and a per-epoch trace.  The learning rate halves when the
     development minDCF fails to improve for ``patience`` epochs.
     """
+    has_dev = dev_trials is not None and dev_embeddings is not None
+    dev_score = (lambda pr: score_trials(pr, dev_trials, dev_embeddings)) if has_dev else None
+    return _fit(params, batches, cfg, epochs, seed, lr, patience,
+                batch_loss_and_grads, dev_score, frozenset())
+
+
+def _fit(model, batches, cfg: LossConfig, epochs: int, seed: int, lr: float,
+         patience: int, loss_and_grads, dev_score, frozen: frozenset[str]):
+    """The Adam loop of `train` and `e2e.train_e2e`, for any model with copy/to_dict/from_dict.
+
+    ``loss_and_grads(model, batch, cfg)`` gives a batch's loss and gradients,
+    ``dev_score(model)`` scores the development trials (None without them),
+    and the gradients of the ``frozen`` parameter names are zeroed.
+    """
     if not batches:
         raise ArgumentError("no training batches")
     rng = np.random.default_rng(seed)
-    current = params.copy()
+    current = model.copy()
     state = adam_init(current.to_dict(), lr=lr)
-    has_dev = dev_trials is not None and dev_embeddings is not None
 
-    def dev_metrics(pr: NpldaParams):
-        scored = score_trials(pr, dev_trials, dev_embeddings)
+    def dev_metrics(m):
+        scored = dev_score(m)
         cost, _ = min_dcf(scored, cfg.weights)
         return eer(scored), cost
 
     best = current.copy()
     best_cost = np.inf
     since_improved = 0
-    if has_dev:
+    if dev_score is not None:
         _, best_cost = dev_metrics(current)
     trace: list[TraceRow] = []
     for epoch in range(1, epochs + 1):
@@ -355,14 +374,16 @@ def train(
         losses = []
         for bi in order:
             batch = batches[int(bi)]
-            loss, grads = batch_loss_and_grads(current, batch, cfg)
+            loss, grads = loss_and_grads(current, batch, cfg)
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"non-finite loss in epoch {epoch}, batch {batch.tag or int(bi)}"
                 )
-            current = NpldaParams.from_dict(adam_step(current.to_dict(), grads, state))
+            for name in frozen:
+                grads[name] = np.zeros_like(grads[name])
+            current = current.from_dict(adam_step(current.to_dict(), grads, state))
             losses.append(loss)
-        if has_dev:
+        if dev_score is not None:
             dev_e, dev_c = dev_metrics(current)
             if dev_c < best_cost:
                 best_cost = dev_c
@@ -376,7 +397,7 @@ def train(
         else:
             dev_e, dev_c = float("nan"), float("nan")
         trace.append(TraceRow(epoch, float(np.mean(losses)), dev_e, dev_c))
-    if not has_dev:
+    if dev_score is None:
         best = current
     return best, trace
 

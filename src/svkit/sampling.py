@@ -329,9 +329,19 @@ def sample_trials_algo1(
             made += 1
 
     order = rng.permutation(len(all_trials))
+    return _mixed_batches([all_trials[i] for i in order], batch_size, "algo1")
+
+
+def _mixed_batches(flat: list[tuple[Trial, Utterance, Utterance]], size: int,
+                   prefix: str) -> list[TrialBatch]:
+    """Consecutive batches of ``size`` trials, tagged ``<prefix>/<index>``.
+
+    Each batch carries the utterances its trials reference, in order of
+    first reference; gender and dataset are None because trials may mix.
+    """
     batches: list[TrialBatch] = []
-    for start in range(0, len(all_trials), batch_size):
-        chunk = [all_trials[i] for i in order[start : start + batch_size]]
+    for start in range(0, len(flat), size):
+        chunk = flat[start : start + size]
         utts: dict[str, Utterance] = {}
         for _, e, t in chunk:
             utts.setdefault(e.id, e)
@@ -344,7 +354,7 @@ def sample_trials_algo1(
                 trials=[tr for tr, _, _ in chunk],
                 gender=None,
                 dataset_id=None,
-                tag=f"algo1/{start // batch_size}",
+                tag=f"{prefix}/{start // size}",
             )
         )
     return batches
@@ -370,25 +380,7 @@ def pool_and_shuffle(batches: list[TrialBatch], seed: int) -> list[TrialBatch]:
         for t in b.trials:
             flat.append((t, lookup[t.enroll_id], lookup[t.test_id]))
     order = rng.permutation(len(flat))
-    out: list[TrialBatch] = []
-    for start in range(0, len(flat), size):
-        chunk = [flat[i] for i in order[start : start + size]]
-        utts: dict[str, Utterance] = {}
-        for _, e, t in chunk:
-            utts.setdefault(e.id, e)
-            utts.setdefault(t.id, t)
-        out.append(
-            TrialBatch(
-                utterances=list(utts.values()),
-                enroll_ids=[tr.enroll_id for tr, _, _ in chunk],
-                test_ids=[tr.test_id for tr, _, _ in chunk],
-                trials=[tr for tr, _, _ in chunk],
-                gender=None,
-                dataset_id=None,
-                tag=f"pooled/{start // size}",
-            )
-        )
-    return out
+    return _mixed_batches([flat[i] for i in order], size, "pooled")
 
 
 def write_batches(batches: list[TrialBatch], path) -> None:

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -73,6 +75,17 @@ head_lda_dim = 5
 head_out_dim = 4
 """
 
+SMALL_DEV_CONFIG = """
+[simulate]
+kind = embeddings
+seed = 3
+n_speakers = 4
+utts_per_speaker = 4
+n_dev_speakers = 2
+dev_utts_per_speaker = 2
+n_dev_trials = %d
+"""
+
 
 @pytest.fixture(scope="module")
 def emb_workspace(tmp_path_factory):
@@ -108,6 +121,26 @@ class TestSimulate:
         code = run(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 1
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_dev_trials, code", [(12, 0), (13, 1), (100, 1)])
+    def test_dev_trial_count_bounded(self, tmp_path, n_dev_trials, code):
+        # 2 dev speakers x 2 utterances form 4 target and 8 non-target ordered
+        # pairs; asking for more must fail at once, not draw forever, so the
+        # command runs in a child process under a timeout
+        cfg = write_config(tmp_path / "small.ini", SMALL_DEV_CONFIG % n_dev_trials)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "svkit.cli", "simulate", "--config", cfg,
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == code, proc.stderr
+        if code:
+            assert "n_dev_trials = %d exceeds the 12 distinct trials" % n_dev_trials in proc.stderr
+        else:
+            trials = data.read_trials(tmp_path / "out" / "dev.trials")
+            assert len({(t.enroll_id, t.test_id) for t in trials}) == 12
 
     def test_zero_subspace_scores_near_constant(self, tmp_path):
         cfg = write_config(

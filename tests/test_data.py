@@ -49,6 +49,23 @@ class TestTypes:
         assert "ghost" in str(exc.value)
 
 
+class TestPairIndex:
+    def test_sorted_ids_and_rows(self):
+        us = data.UtteranceSet([_utt(u, "s1", [1.0]) for u in ("c", "a", "b", "z")])
+        trials = [data.Trial("c", "a"), data.Trial("b", "c"), data.Trial("a", "a")]
+        ids, e_idx, t_idx = data.pair_index(trials, us)
+        assert ids == ["a", "b", "c"]  # "z" is not referenced
+        assert [ids[i] for i in e_idx] == ["c", "b", "a"]
+        assert [ids[i] for i in t_idx] == ["a", "c", "a"]
+
+    def test_dict_lookup_reports_every_missing_id(self):
+        lookup = {"a": None}
+        with pytest.raises(MissingIdError) as exc:
+            data.pair_index([data.Trial("y", "a"), data.Trial("a", "x"), data.Trial("y", "x")],
+                            lookup)
+        assert exc.value.ids == ["x", "y"]
+
+
 class TestEmbeddingFile:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -155,6 +155,16 @@ class TestScoreTrialBatch:
             e2e.score_trial_batch(model, batch)
         assert "ghost" in str(exc.value)
 
+    def test_only_referenced_utterances_embedded(self):
+        # an unreferenced utterance too short for the extractor is never embedded
+        rng = np.random.default_rng(12)
+        model = e2e.init_e2e(tiny_config(), seed=13)
+        batch = tiny_batch(rng)
+        short = data.Utterance("short", "s0", "M", "d", data.FeatureMatrix(np.zeros((2, 3))))
+        utts = data.UtteranceSet(batch.utterances + [short])
+        scored = e2e.score_trials(model, batch.trials, utts)
+        assert np.array_equal(scored.scores, e2e.score_trial_batch(model, batch).scores)
+
 
 class TestGradients:
     @pytest.mark.parametrize("pooling", ["stddev", "variance"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from svkit import data, gplda, metrics, nn, nplda, sampling
+from svkit import data, e2e, gplda, metrics, nn, nplda, sampling
 from svkit.errors import BatchCompositionError, NumericalError, StateError
 
 
@@ -283,6 +283,52 @@ class TestTraining:
         lines = path.read_text().splitlines()
         assert lines[0] == "epoch,loss,dev_eer,dev_mindcf"
         assert lines[1].startswith("1,0.5")
+
+
+def _backend_case():
+    rng = np.random.default_rng(300)
+    phi = 2.0 * rng.standard_normal((6, 2))
+    train = data.synth_plda_embeddings(phi, np.eye(6), 16, 6, seed=301)
+    dev = data.synth_plda_embeddings(phi, np.eye(6), 8, 4, seed=302, id_prefix="dev")
+    return nplda.train, nplda.score_trials, nplda.init_random(6, 4, 3, seed=303), train, dev
+
+
+def _e2e_case():
+    rng = np.random.default_rng(310)
+    means = {f"spk{i:02d}": 2.0 * rng.standard_normal(3) for i in range(24)}
+    train = data.synth_features(dict(list(means.items())[:16]), 1.0, 10, seed=311,
+                                utts_per_speaker=6)
+    dev = data.synth_features(dict(list(means.items())[16:]), 1.0, 10, seed=312,
+                              utts_per_speaker=4)
+    cfg = e2e.E2EConfig(
+        layers=(e2e.TdnnLayerSpec(3, 4, (-1, 0, 1)), e2e.TdnnLayerSpec(4, 4, (0,))),
+        embedding_dim=4, head_lda_dim=3, head_out_dim=3,
+    )
+    return e2e.train_e2e, e2e.score_trials, e2e.init_e2e(cfg, seed=313), train, dev
+
+
+class TestBestDevContract:
+    @pytest.mark.parametrize("case", [_backend_case, _e2e_case], ids=["nplda", "e2e"])
+    def test_returns_lowest_dev_cost(self, case):
+        # the returned model's dev minDCF is the least of the starting cost and
+        # every epoch's, whether or not the last epoch was the best
+        train, score, model, train_utts, dev = case()
+        dev_trials = [
+            data.Trial(a.id, b.id, data.TARGET if a.speaker_id == b.speaker_id else data.NONTARGET)
+            for a in dev for b in dev if a.id != b.id
+        ]
+        batches = sampling.sample_epoch_algo2(
+            train_utts, sampling.SamplerConfig(utts_per_batch=16, m_min=2, m_max=4, seed=5), 4
+        )
+        cfg = nplda.LossConfig(alpha=2.0, weights=metrics.DcfWeights(p_target=0.3))
+
+        def dev_cost(m):
+            return metrics.min_dcf(score(m, dev_trials, dev), cfg.weights)[0]
+
+        best, trace = train(model, batches, cfg, 6, 7, dev_trials, dev, lr=0.01, patience=1)
+        costs = [dev_cost(model)] + [r.dev_mindcf for r in trace]
+        assert min(costs) < costs[-1]  # the final model is not the best one
+        assert dev_cost(best) == min(costs)
 
 
 class TestPersistence:
