@@ -11,40 +11,35 @@ Layout (one record per line, whitespace separated)::
 
 Scalars are stored as 0-dim params with a single value line.  The %.17g
 formatting round-trips IEEE doubles exactly, so save/load/save is stable
-byte for byte.
+byte for byte.  This module owns the record layout; the float format, the
+atomic write and the line-numbered parsing are the shared text layer of
+``data.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParseError
+from .data import _float_block, _float_lines, _records, _write_lines
+from .errors import ParseError, StateError
 
 MAGIC = "svkit-params"
 VERSION = "v1"
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
-
 def save_params(path, params: dict[str, np.ndarray], meta: dict[str, str] | None = None) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"{MAGIC} {VERSION}\n")
+    def lines():
+        yield f"{MAGIC} {VERSION}\n"
         for key in sorted(meta or {}):
-            fh.write(f"meta {key} {(meta or {})[key]}\n")
+            yield f"meta {key} {(meta or {})[key]}\n"
         for name, value in params.items():
             arr = np.asarray(value, dtype=np.float64)
             dims = " ".join(str(d) for d in arr.shape)
-            fh.write(f"param {name} {arr.ndim}{' ' + dims if dims else ''}\n")
-            if arr.ndim == 0:
-                fh.write(_fmt(float(arr)) + "\n")
-            elif arr.ndim == 1:
-                fh.write(" ".join(_fmt(v) for v in arr) + "\n")
-            else:
-                for row in arr.reshape(arr.shape[0], -1):
-                    fh.write(" ".join(_fmt(v) for v in row) + "\n")
-        fh.write("end\n")
+            yield f"param {name} {arr.ndim}{' ' + dims if dims else ''}\n"
+            yield from _float_lines(arr.reshape(arr.shape[0] if arr.ndim > 1 else 1, -1))
+        yield "end\n"
+
+    _write_lines(path, lines())
 
 
 def load_params(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
@@ -54,16 +49,10 @@ def load_params(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
         raise ParseError(path, 1, f"expected header '{MAGIC} {VERSION}'")
     params: dict[str, np.ndarray] = {}
     meta: dict[str, str] = {}
-    i = 1
-    while i < len(lines):
-        line = lines[i].strip()
-        line_no = i + 1
-        i += 1
-        if not line:
-            continue
-        if line == "end":
+    numbered = enumerate(lines[1:], start=2)
+    for line_no, fields in _records(numbered):
+        if fields == ["end"]:
             return params, meta
-        fields = line.split()
         if fields[0] == "meta":
             if len(fields) < 3:
                 raise ParseError(path, line_no, "meta needs a key and a value")
@@ -81,19 +70,18 @@ def load_params(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
             raise ParseError(path, line_no, "bad param dimensions") from None
         if len(shape) != ndim:
             raise ParseError(path, line_no, f"expected {ndim} dims, got {len(shape)}")
-        n_rows = 1 if ndim <= 1 else shape[0]
-        if i + n_rows > len(lines):
-            raise ParseError(path, line_no, f"param {name!r} truncated")
-        values = []
-        for r in range(n_rows):
-            try:
-                values.append([float(x) for x in lines[i + r].split()])
-            except ValueError as exc:
-                raise ParseError(path, i + r + 1, f"bad float: {exc}") from None
-        i += n_rows
-        arr = np.array(values, dtype=np.float64)
+        values = _float_block(path, numbered, line_no, 1 if ndim <= 1 else shape[0], None,
+                              f"param {name!r} truncated")
         try:
-            params[name] = arr.reshape(shape)
+            params[name] = values.reshape(shape)
         except ValueError:
             raise ParseError(path, line_no, f"param {name!r} has wrong value count") from None
     raise ParseError(path, len(lines), "missing 'end' record")
+
+
+def _load_kind(path, kind: str) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+    """``load_params`` of a checkpoint that must have been saved as ``kind``."""
+    params, meta = load_params(path)
+    if meta.get("kind") != kind:
+        raise StateError(f"{path} is a {meta.get('kind')!r} checkpoint, not {kind!r}")
+    return params, meta

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import io
 import os
 import sys
 
@@ -21,6 +22,7 @@ from . import gplda as gplda_mod
 from . import metrics as metrics_mod
 from . import nplda as nplda_mod
 from . import sampling
+from .checkpoint import load_params
 from .errors import ArgumentError, ConfigError, SvkitError
 from .nn import POOL_STDDEV, POOL_VARIANCE
 
@@ -136,15 +138,11 @@ class Config:
             self.parser[section] = {}
         self.parser[section][key] = str(value)
 
-    def write_resolved(self, out_path: str) -> None:
-        directory = os.path.dirname(os.path.abspath(out_path))
-        os.makedirs(directory, exist_ok=True)
-        with open(out_path, "w") as fh:
-            self.parser.write(fh)
-
-
-def _resolved_next_to(cfg: Config, output_path: str) -> None:
-    cfg.write_resolved(output_path + ".config.ini")
+    def write_resolved(self, output_path: str) -> None:
+        """Write the resolved configuration to ``<output_path>.config.ini``."""
+        text = io.StringIO()
+        self.parser.write(text)
+        dm._write_lines(output_path + ".config.ini", [text.getvalue()])
 
 
 def _dcf_weights(cfg: Config) -> metrics_mod.DcfWeights:
@@ -168,17 +166,11 @@ def _e2e_config(cfg: Config) -> e2e_mod.E2EConfig:
     if not text:
         return e2e_mod.desk_config(cfg.getint("simulate", "feat_dim"))
     layers = []
-    for line in text.splitlines():
-        fields = line.split()
-        if not fields:
-            continue
+    for _, fields in dm._records(enumerate(text.splitlines())):
         if len(fields) < 3:
-            raise ConfigError(f"[e2e] layers line needs 'k_in k_out offsets...': {line!r}")
-        layers.append(
-            e2e_mod.TdnnLayerSpec(
-                int(fields[0]), int(fields[1]), tuple(int(o) for o in fields[2:])
-            )
-        )
+            raise ConfigError(f"[e2e] layers line needs 'k_in k_out offsets...': "
+                              f"{' '.join(fields)!r}")
+        layers.append(e2e_mod._layer_spec(fields))
     return e2e_mod.E2EConfig(
         layers=tuple(layers),
         pooling=cfg.get("e2e", "pooling"),
@@ -191,40 +183,6 @@ def _e2e_config(cfg: Config) -> e2e_mod.E2EConfig:
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
-
-
-def _make_dev_trials(utts: dm.UtteranceSet, n_trials: int, target_ratio: float,
-                     seed: int) -> list[dm.Trial]:
-    rng = np.random.default_rng(seed)
-    by_spk: dict[str, list[str]] = {}
-    for u in utts:
-        by_spk.setdefault(u.speaker_id, []).append(u.id)
-    speakers = sorted(by_spk)
-    # distinct ordered pairs each label can supply; asking for more never ends
-    sizes = [len(ids) for ids in by_spk.values()]
-    n_target = sum(n * (n - 1) for n in sizes) if target_ratio > 0 else 0
-    n_nontarget = sum(sizes) ** 2 - sum(n * n for n in sizes) if target_ratio < 1 else 0
-    if n_trials > n_target + n_nontarget:
-        raise ConfigError(f"[simulate] n_dev_trials = {n_trials} exceeds the "
-                          f"{n_target + n_nontarget} distinct trials the dev set can form")
-    trials = []
-    seen = set()
-    while len(trials) < n_trials:
-        if rng.random() < target_ratio:
-            ids = by_spk[speakers[int(rng.integers(len(speakers)))]]
-            if len(ids) < 2:
-                continue
-            i, j = rng.choice(len(ids), size=2, replace=False)
-            key, label = (ids[int(i)], ids[int(j)]), dm.TARGET
-        else:
-            si, sj = rng.choice(len(speakers), size=2, replace=False)
-            a = by_spk[speakers[int(si)]]
-            b = by_spk[speakers[int(sj)]]
-            key, label = (a[int(rng.integers(len(a)))], b[int(rng.integers(len(b)))]), dm.NONTARGET
-        if key not in seen:
-            seen.add(key)
-            trials.append(dm.Trial(key[0], key[1], label))
-    return trials
 
 
 def _simulate_embeddings(cfg: Config, seed: int):
@@ -322,14 +280,14 @@ def cmd_simulate(args) -> int:
         dm.write_features(dev, os.path.join(args.out, "dev.features"))
     else:
         raise ConfigError(f"[simulate] kind must be embeddings or features, got {kind!r}")
-    trials = _make_dev_trials(
+    trials = dm.make_trials(
         dev,
         cfg.getint("simulate", "n_dev_trials"),
         cfg.getfloat("simulate", "dev_target_ratio"),
         seed + 3,
     )
     dm.write_trials(trials, os.path.join(args.out, "dev.trials"))
-    _resolved_next_to(cfg, os.path.join(args.out, "simulate"))
+    cfg.write_resolved(os.path.join(args.out, "simulate"))
     print(f"simulate kind={kind} seed={seed} " +
           " ".join(f"{k}={v}" for k, v in info.items()))
     print(f"train records: {len(train)}  dev records: {len(dev)}  dev trials: {len(trials)}")
@@ -400,7 +358,7 @@ def cmd_train(args) -> int:
             chain=chain,
         )
         gplda_mod.save_model(model, args.out)
-        _resolved_next_to(cfg, args.out)
+        cfg.write_resolved(args.out)
         dev_set, dev_trials = _load_dev(cfg, "embeddings")
         if dev_set is not None:
             scored = gplda_mod.score_trials(model, dev_trials, dev_set)
@@ -456,7 +414,7 @@ def cmd_train(args) -> int:
         **extra,
     )
     save(best, args.out)
-    _resolved_next_to(cfg, args.out)
+    cfg.write_resolved(args.out)
     if args.trace:
         nplda_mod.write_trace(trace, args.trace)
     if dev_set is not None:
@@ -471,21 +429,20 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
-    from .checkpoint import load_params
-
-    _, meta = load_params(args.model)
+    params, meta = load_params(args.model)
     kind = meta.get("kind", "")
-    trials = dm.read_trials(args.trials)
-    # checkpoint kind -> (loader, scorer, reader of the --data file)
+    # checkpoint kind -> (model from (params, meta), scorer, reader of the --data file)
     kinds = {
-        "gplda": (gplda_mod.load_model, gplda_mod.score_trials, dm.read_embeddings),
-        "nplda": (nplda_mod.load_nplda, nplda_mod.score_trials, dm.read_embeddings),
-        "e2e": (e2e_mod.load_e2e, e2e_mod.score_trials, dm.read_features),
+        "gplda": (gplda_mod._from_checkpoint, gplda_mod.score_trials, dm.read_embeddings),
+        "nplda": (lambda params, _: nplda_mod.NpldaParams.from_dict(params),
+                  nplda_mod.score_trials, dm.read_embeddings),
+        "e2e": (e2e_mod._from_checkpoint, e2e_mod.score_trials, dm.read_features),
     }
     if kind not in kinds:
         raise ConfigError(f"{args.model}: unknown checkpoint kind {kind!r}")
-    load, score, read = kinds[kind]
-    scored = score(load(args.model), trials, read(args.data))
+    model, score, read = kinds[kind]
+    trials = dm.read_trials(args.trials)
+    scored = score(model(params, meta), trials, read(args.data))
     dm.write_scores(scored, args.out)
     print(f"wrote {args.out} ({len(scored)} trials)")
     return 0
@@ -525,13 +482,13 @@ def cmd_evaluate(args) -> int:
     )
     if avg is not None:
         print(f"min_dcf_avg {avg:.6f}")
-    csv_path = args.csv or (args.scores + ".metrics.csv")
-    with open(csv_path, "w") as fh:
-        fh.write("metric,value\n")
-        fh.write(f"eer,{report.eer:.8f}\n")
-        fh.write(f"min_dcf,{report.min_dcf:.8f}\n")
-        fh.write(f"threshold,{report.threshold:.8f}\n")
-        fh.write(f"beta,{weights.beta:.8f}\n")
+    dm._write_lines(args.csv or (args.scores + ".metrics.csv"), [
+        "metric,value\n",
+        f"eer,{report.eer:.8f}\n",
+        f"min_dcf,{report.min_dcf:.8f}\n",
+        f"threshold,{report.threshold:.8f}\n",
+        f"beta,{weights.beta:.8f}\n",
+    ])
     return 0
 
 
@@ -546,7 +503,7 @@ def cmd_sample(args) -> int:
     utts = dm.read_embeddings(args.data)
     batches = _sample_batches(cfg, utts, seed)
     sampling.write_batches(batches, args.out)
-    _resolved_next_to(cfg, args.out)
+    cfg.write_resolved(args.out)
     n_trials = sum(len(b.trials) for b in batches)
     print(f"wrote {args.out} ({len(batches)} batches, {n_trials} trials)")
     return 0

@@ -8,18 +8,25 @@ File formats are text based and line oriented:
 * trial file:     ``enroll_id test_id [target|nontarget]`` per line
 * score file:     ``enroll_id test_id score`` per line
 
-Floats are written with ``%.17g`` so a write/read/write cycle reproduces the
-file byte for byte.
+The text layer below serves every file svkit reads or writes, checkpoints
+included.  Floats are written with ``%.17g`` so a write/read/write cycle
+reproduces the file byte for byte; outputs are replaced atomically; bad input,
+non-finite values included, raises ParseError naming the file and line.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import contextlib
+import itertools
+import math
+import os
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     ArgumentError,
+    ConfigError,
     DimensionError,
     MissingIdError,
     ModelError,
@@ -30,10 +37,6 @@ GENDERS = ("M", "F")
 
 TARGET = "target"
 NONTARGET = "nontarget"
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % x
 
 
 @dataclass(frozen=True)
@@ -226,29 +229,86 @@ def pair_index(trials: list[Trial], lookup) -> tuple[list[str], np.ndarray, np.n
 # ---------------------------------------------------------------------------
 
 
+def _fmt(x: float) -> str:
+    return "%.17g" % x
+
+
+def _float_lines(block: np.ndarray):
+    """One line of ``_fmt`` fields per row of a 2-D array."""
+    for row in block.tolist():
+        yield " ".join(map(_fmt, row)) + "\n"
+
+
+def _write_lines(path, lines) -> None:
+    """Write ``lines`` to ``<path>.tmp``, then rename it over ``path``."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.writelines(lines)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def _records(numbered):
+    """(line_no, fields) of each non-blank line of ``enumerate(file, start=1)``."""
+    for line_no, text in numbered:
+        fields = text.split()
+        if fields:
+            yield line_no, fields
+
+
+def _floats(path, rows, width: int | None) -> np.ndarray:
+    """Parse (line_no, fields) rows into one flat float64 array.
+
+    Every row holds ``width`` values, or as many as the first row when ``width``
+    is None; a wrong count, bad float or non-finite value raises ParseError at
+    its line.
+    """
+    if width is None and rows:
+        width = len(rows[0][1])
+    values = []
+    for line_no, fields in rows:
+        if len(fields) != width:
+            raise ParseError(path, line_no, f"expected {width} values, got {len(fields)}")
+        try:
+            values += map(float, fields)
+        except ValueError as exc:
+            raise ParseError(path, line_no, f"bad float: {exc}") from None
+    values = np.array(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        line_no = next(no for no, fields in rows if not all(map(math.isfinite, map(float, fields))))
+        raise ParseError(path, line_no, "non-finite value")
+    return values
+
+
+def _float_block(path, numbered, header_no, n_rows, width, truncated) -> np.ndarray:
+    """``_floats`` of the next ``n_rows`` lines of ``numbered``, blank or not."""
+    rows = [(no, text.split()) for no, text in itertools.islice(numbered, max(n_rows, 0))]
+    if len(rows) != n_rows:
+        raise ParseError(path, header_no, truncated)
+    return _floats(path, rows, width)
+
+
 def write_embeddings(utterances, path) -> None:
-    with open(path, "w") as fh:
-        for u in utterances:
-            vals = " ".join(_fmt(v) for v in u.payload.vector)
-            fh.write(f"{u.id} {u.speaker_id} {u.gender} {u.dataset_id} {vals}\n")
+    _write_lines(path, (
+        f"{u.id} {u.speaker_id} {u.gender} {u.dataset_id} "
+        f"{' '.join(map(_fmt, u.payload.vector.tolist()))}\n"
+        for u in utterances
+    ))
 
 
 def read_embeddings(path) -> UtteranceSet:
     utts = []
     dim = None
     with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
+        for line_no, parts in _records(enumerate(fh, start=1)):
             if len(parts) < 5:
                 raise ParseError(path, line_no, f"expected at least 5 fields, got {len(parts)}")
             utt_id, spk, gender, dataset = parts[:4]
-            try:
-                vec = np.array([float(x) for x in parts[4:]], dtype=np.float64)
-            except ValueError as exc:
-                raise ParseError(path, line_no, f"bad float: {exc}") from None
+            vec = _floats(path, [(line_no, parts[4:])], None)
             if dim is None:
                 dim = vec.shape[0]
             elif vec.shape[0] != dim:
@@ -263,108 +323,83 @@ def read_embeddings(path) -> UtteranceSet:
 
 
 def write_features(utterances, path) -> None:
-    with open(path, "w") as fh:
+    def lines():
         for u in utterances:
             f = u.payload.frames
-            fh.write(
-                f"{u.id} {u.speaker_id} {u.gender} {u.dataset_id} "
-                f"{f.shape[0]} {f.shape[1]}\n"
-            )
-            for row in f:
-                fh.write(" ".join(_fmt(v) for v in row) + "\n")
+            yield (f"{u.id} {u.speaker_id} {u.gender} {u.dataset_id} "
+                   f"{f.shape[0]} {f.shape[1]}\n")
+            yield from _float_lines(f)
+
+    _write_lines(path, lines())
 
 
 def read_features(path) -> UtteranceSet:
     utts = []
     dim = None
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    i = 0
-    line_no = 0
-    while i < len(lines):
-        line_no = i + 1
-        header = lines[i].strip()
-        i += 1
-        if not header:
-            continue
-        parts = header.split()
-        if len(parts) != 6:
-            raise ParseError(path, line_no, f"expected 6 header fields, got {len(parts)}")
-        utt_id, spk, gender, dataset, t_str, d_str = parts
-        try:
-            T, d = int(t_str), int(d_str)
-        except ValueError:
-            raise ParseError(path, line_no, "T and d must be integers") from None
-        if dim is None:
-            dim = d
-        elif d != dim:
-            raise DimensionError(f"{path}:{line_no}: feature dim {d} != {dim}")
-        if i + T > len(lines):
-            raise ParseError(path, line_no, f"expected {T} frame lines, file truncated")
-        rows = []
-        for j in range(T):
-            row_no = i + j + 1
-            fields = lines[i + j].split()
-            if len(fields) != d:
-                raise ParseError(path, row_no, f"expected {d} values, got {len(fields)}")
+        numbered = enumerate(fh, start=1)
+        for line_no, parts in _records(numbered):
+            if len(parts) != 6:
+                raise ParseError(path, line_no, f"expected 6 header fields, got {len(parts)}")
+            utt_id, spk, gender, dataset, t_str, d_str = parts
             try:
-                rows.append([float(x) for x in fields])
-            except ValueError as exc:
-                raise ParseError(path, row_no, f"bad float: {exc}") from None
-        i += T
-        frames = np.array(rows, dtype=np.float64).reshape(T, d)
-        utts.append(Utterance(utt_id, spk, gender, dataset, FeatureMatrix(frames)))
+                T, d = int(t_str), int(d_str)
+            except ValueError:
+                raise ParseError(path, line_no, "T and d must be integers") from None
+            if dim is None:
+                dim = d
+            elif d != dim:
+                raise DimensionError(f"{path}:{line_no}: feature dim {d} != {dim}")
+            frames = _float_block(path, numbered, line_no, T, d,
+                                  f"expected {T} frame lines, file truncated")
+            utts.append(Utterance(utt_id, spk, gender, dataset,
+                                  FeatureMatrix(frames.reshape(T, d))))
     return UtteranceSet(utts)
 
 
 def write_trials(trials, path) -> None:
-    with open(path, "w") as fh:
-        for t in trials:
-            if t.label is None:
-                fh.write(f"{t.enroll_id} {t.test_id}\n")
-            else:
-                fh.write(f"{t.enroll_id} {t.test_id} {t.label}\n")
+    _write_lines(path, (
+        f"{t.enroll_id} {t.test_id}\n" if t.label is None
+        else f"{t.enroll_id} {t.test_id} {t.label}\n"
+        for t in trials
+    ))
 
 
 def read_trials(path) -> list[Trial]:
     trials = []
     with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
+        for line_no, parts in _records(enumerate(fh, start=1)):
+            if parts[0].startswith("#"):
                 continue
-            parts = line.split()
-            if len(parts) == 2:
-                trials.append(Trial(parts[0], parts[1]))
-            elif len(parts) == 3:
-                if parts[2] not in (TARGET, NONTARGET):
-                    raise ParseError(path, line_no, f"bad label {parts[2]!r}")
-                trials.append(Trial(parts[0], parts[1], parts[2]))
-            else:
+            if len(parts) not in (2, 3):
                 raise ParseError(path, line_no, f"expected 2 or 3 fields, got {len(parts)}")
+            if len(parts) == 3 and parts[2] not in (TARGET, NONTARGET):
+                raise ParseError(path, line_no, f"bad label {parts[2]!r}")
+            trials.append(Trial(*parts))
     return trials
 
 
 def write_scores(scored: ScoredTrialSet, path) -> None:
-    with open(path, "w") as fh:
-        for t, s in zip(scored.trials, scored.scores):
-            fh.write(f"{t.enroll_id} {t.test_id} {_fmt(s)}\n")
+    _write_lines(path, (
+        f"{t.enroll_id} {t.test_id} {_fmt(s)}\n"
+        for t, s in zip(scored.trials, scored.scores.tolist())
+    ))
 
 
 def read_scores(path) -> list[tuple[str, str, float]]:
+    # floats parsed inline: a per-line _floats call costs more than the parse
     out = []
     with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
+        for line_no, parts in _records(enumerate(fh, start=1)):
             if len(parts) != 3:
                 raise ParseError(path, line_no, f"expected 3 fields, got {len(parts)}")
             try:
-                out.append((parts[0], parts[1], float(parts[2])))
+                score = float(parts[2])
             except ValueError as exc:
                 raise ParseError(path, line_no, f"bad float: {exc}") from None
+            if not math.isfinite(score):
+                raise ParseError(path, line_no, "non-finite value")
+            out.append((parts[0], parts[1], score))
     return out
 
 
@@ -505,3 +540,42 @@ def synth_features(
                 )
             )
     return UtteranceSet(utts)
+
+
+def make_trials(utts, n_trials: int, target_ratio: float, seed: int) -> list[Trial]:
+    """``n_trials`` distinct labelled pairs, each a target with probability ``target_ratio``.
+
+    Too large a count raises ConfigError naming ``[simulate] n_dev_trials``, which sets it.
+    """
+    rng = np.random.default_rng(seed)
+    by_spk: dict[str, list[str]] = {}
+    for u in utts:
+        by_spk.setdefault(u.speaker_id, []).append(u.id)
+    speakers = sorted(by_spk)
+    # distinct ordered pairs each label can supply; asking for more never ends
+    sizes = [len(ids) for ids in by_spk.values()]
+    n_target = sum(n * (n - 1) for n in sizes) if target_ratio > 0 else 0
+    n_nontarget = sum(sizes) ** 2 - sum(n * n for n in sizes) if target_ratio < 1 else 0
+    if n_trials > n_target + n_nontarget:
+        raise ConfigError(f"[simulate] n_dev_trials = {n_trials} exceeds the "
+                          f"{n_target + n_nontarget} distinct trials the dev set can form")
+    trials = []
+    seen = set()
+    while len(trials) < n_trials:
+        if rng.random() < target_ratio:
+            ids = by_spk[speakers[int(rng.integers(len(speakers)))]]
+            if len(ids) < 2:
+                continue
+            i, j = rng.choice(len(ids), size=2, replace=False)
+            key, label = (ids[int(i)], ids[int(j)]), TARGET
+        else:
+            if len(speakers) < 2:
+                continue
+            si, sj = rng.choice(len(speakers), size=2, replace=False)
+            a = by_spk[speakers[int(si)]]
+            b = by_spk[speakers[int(sj)]]
+            key, label = (a[int(rng.integers(len(a)))], b[int(rng.integers(len(b)))]), NONTARGET
+        if key not in seen:
+            seen.add(key)
+            trials.append(Trial(key[0], key[1], label))
+    return trials

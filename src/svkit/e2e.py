@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nplda
-from .checkpoint import load_params, save_params
+from .checkpoint import _load_kind, save_params
 from .data import FeatureMatrix, ScoredTrialSet, Trial, UtteranceSet, pair_index
-from .errors import ArgumentError, LengthError, StateError
+from .errors import ArgumentError, LengthError
 from .nn import (
     POOL_STDDEV,
     POOL_VARIANCE,
@@ -399,6 +399,11 @@ def estimate_memory(n_trials: int, frames: int, cfg: E2EConfig) -> MemoryEstimat
 # ---------------------------------------------------------------------------
 
 
+def _layer_spec(fields: list[str]) -> TdnnLayerSpec:
+    """A layer from its text fields ``k_in k_out offsets...``, as saved and configured."""
+    return TdnnLayerSpec(int(fields[0]), int(fields[1]), tuple(int(o) for o in fields[2:]))
+
+
 def save_e2e(model: E2EModel, path) -> None:
     cfg = model.config
     meta = {
@@ -417,18 +422,13 @@ def save_e2e(model: E2EModel, path) -> None:
 
 
 def load_e2e(path) -> E2EModel:
-    params, meta = load_params(path)
-    if meta.get("kind") != "e2e":
-        raise StateError(f"{path} is not an e2e checkpoint (kind={meta.get('kind')!r})")
+    return _from_checkpoint(*_load_kind(path, "e2e"))
+
+
+def _from_checkpoint(params: dict[str, np.ndarray], meta: dict[str, str]) -> E2EModel:
     n = int(meta["n_layers"])
-    layers = []
-    for i in range(n):
-        fields = meta[f"layer{i}"].split()
-        layers.append(
-            TdnnLayerSpec(int(fields[0]), int(fields[1]), tuple(int(o) for o in fields[2:]))
-        )
     cfg = E2EConfig(
-        layers=tuple(layers),
+        layers=tuple(_layer_spec(meta[f"layer{i}"].split()) for i in range(n)),
         pooling=meta["pooling"],
         embedding_dim=int(meta["embedding_dim"]),
         head_lda_dim=int(meta["head_lda_dim"]),

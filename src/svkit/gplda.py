@@ -30,7 +30,7 @@ import numpy as np
 import scipy.linalg
 
 from . import nn
-from .checkpoint import load_params, save_params
+from .checkpoint import _load_kind, save_params
 from .data import ScoredTrialSet, Trial, UtteranceSet, pair_index
 from .errors import ArgumentError, NumericalError
 from .nn import quadratic_score
@@ -455,19 +455,13 @@ def llr_oracle(model: PldaModel, raw_e: np.ndarray, raw_t: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
+# the PldaModel arrays a checkpoint stores, in file order after the chain's mean and lda
+_SAVED = ("center", "sigma_ac", "sigma_wc", "V", "psi", "p", "q")
+
+
 def save_model(model: PldaModel, path) -> None:
-    params = {
-        "mean": model.chain.mean,
-        "lda": model.chain.lda,
-        "center": model.center,
-        "sigma_ac": model.sigma_ac,
-        "sigma_wc": model.sigma_wc,
-        "V": model.V,
-        "psi": model.psi,
-        "p": model.p,
-        "q": model.q,
-        "k": np.float64(model.k),
-    }
+    params = {"mean": model.chain.mean, "lda": model.chain.lda,
+              **{name: getattr(model, name) for name in _SAVED}, "k": np.float64(model.k)}
     meta = {
         "kind": "gplda",
         "length_norm": "1" if model.chain.apply_length_norm else "0",
@@ -476,20 +470,13 @@ def save_model(model: PldaModel, path) -> None:
 
 
 def load_model(path) -> PldaModel:
-    params, meta = load_params(path)
+    return _from_checkpoint(*_load_kind(path, "gplda"))
+
+
+def _from_checkpoint(params: dict[str, np.ndarray], meta: dict[str, str]) -> PldaModel:
     chain = PreprocessChain(
         mean=params["mean"],
         lda=params["lda"],
         apply_length_norm=meta.get("length_norm", "1") == "1",
     )
-    return PldaModel(
-        chain=chain,
-        center=params["center"],
-        sigma_ac=params["sigma_ac"],
-        sigma_wc=params["sigma_wc"],
-        V=params["V"],
-        psi=params["psi"],
-        p=params["p"],
-        q=params["q"],
-        k=float(params["k"]),
-    )
+    return PldaModel(chain=chain, k=float(params["k"]), **{name: params[name] for name in _SAVED})

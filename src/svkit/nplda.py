@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import load_params, save_params
-from .data import ScoredTrialSet, Trial, UtteranceSet, pair_index
+from .checkpoint import _load_kind, save_params
+from .data import ScoredTrialSet, Trial, UtteranceSet, _write_lines, pair_index
 from .errors import (
     ArgumentError,
     BatchCompositionError,
@@ -314,10 +314,9 @@ class TraceRow:
 
 
 def write_trace(trace: list[TraceRow], path) -> None:
-    with open(path, "w") as fh:
-        fh.write("epoch,loss,dev_eer,dev_mindcf\n")
-        for row in trace:
-            fh.write(f"{row.epoch},{row.loss:.6f},{row.dev_eer:.6f},{row.dev_mindcf:.6f}\n")
+    _write_lines(path, ["epoch,loss,dev_eer,dev_mindcf\n"] + [
+        f"{row.epoch},{row.loss:.6f},{row.dev_eer:.6f},{row.dev_mindcf:.6f}\n" for row in trace
+    ])
 
 
 def train(
@@ -412,7 +411,4 @@ def save_nplda(params: NpldaParams, path) -> None:
 
 
 def load_nplda(path) -> NpldaParams:
-    d, meta = load_params(path)
-    if meta.get("kind") != "nplda":
-        raise StateError(f"{path} is not a backend checkpoint (kind={meta.get('kind')!r})")
-    return NpldaParams.from_dict(d)
+    return NpldaParams.from_dict(_load_kind(path, "nplda")[0])

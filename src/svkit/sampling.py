@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NONTARGET, TARGET, Trial, Utterance
+from .data import NONTARGET, TARGET, Trial, Utterance, _write_lines
 from .errors import ArgumentError, SamplerError
 
 UTTS_PER_BATCH = 64
@@ -47,8 +47,6 @@ class TrialBatch:
     """
 
     utterances: list[Utterance]
-    enroll_ids: list[str]
-    test_ids: list[str]
     trials: list[Trial]
     gender: str | None = None
     dataset_id: str | None = None
@@ -159,8 +157,6 @@ def sample_batch_algo2(
     ]
     return TrialBatch(
         utterances=utterances,
-        enroll_ids=enroll_ids,
-        test_ids=test_ids,
         trials=trials,
         gender=gender,
         dataset_id=dataset,
@@ -349,8 +345,6 @@ def _mixed_batches(flat: list[tuple[Trial, Utterance, Utterance]], size: int,
         batches.append(
             TrialBatch(
                 utterances=list(utts.values()),
-                enroll_ids=[tr.enroll_id for tr, _, _ in chunk],
-                test_ids=[tr.test_id for tr, _, _ in chunk],
                 trials=[tr for tr, _, _ in chunk],
                 gender=None,
                 dataset_id=None,
@@ -385,11 +379,12 @@ def pool_and_shuffle(batches: list[TrialBatch], seed: int) -> list[TrialBatch]:
 
 def write_batches(batches: list[TrialBatch], path) -> None:
     """Serialize batches to the trial-file format with manifest headers."""
-    with open(path, "w") as fh:
+
+    def lines():
         for b in batches:
-            fh.write(
-                f"#batch gender={b.gender or '-'} dataset={b.dataset_id or '-'} "
-                f"n_utts={len(b.utterances)} tag={b.tag}\n"
-            )
+            yield (f"#batch gender={b.gender or '-'} dataset={b.dataset_id or '-'} "
+                   f"n_utts={len(b.utterances)} tag={b.tag}\n")
             for t in b.trials:
-                fh.write(f"{t.enroll_id} {t.test_id} {t.label}\n")
+                yield f"{t.enroll_id} {t.test_id} {t.label}\n"
+
+    _write_lines(path, lines())

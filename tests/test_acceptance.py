@@ -32,34 +32,6 @@ def random_plda_model(rng, d_max=8):
     return gplda.make_model(B @ B.T, sigma_wc)
 
 
-def labelled_pair_trials(utts, n, seed, ratio=0.25):
-    rng = np.random.default_rng(seed)
-    by_spk = {}
-    for u in utts:
-        by_spk.setdefault(u.speaker_id, []).append(u.id)
-    speakers = sorted(by_spk)
-    trials, seen = [], set()
-    while len(trials) < n:
-        if rng.random() < ratio:
-            s = speakers[int(rng.integers(len(speakers)))]
-            ids = by_spk[s]
-            if len(ids) < 2:
-                continue
-            i, j = rng.choice(len(ids), size=2, replace=False)
-            key, label = (ids[int(i)], ids[int(j)]), data.TARGET
-        else:
-            si, sj = rng.choice(len(speakers), size=2, replace=False)
-            a = by_spk[speakers[int(si)]]
-            b = by_spk[speakers[int(sj)]]
-            key = (a[int(rng.integers(len(a)))], b[int(rng.integers(len(b)))])
-            label = data.NONTARGET
-        if key in seen or key[0] == key[1]:
-            continue
-        seen.add(key)
-        trials.append(data.Trial(key[0], key[1], label))
-    return trials
-
-
 class TestCriterion1GpldaOracle:
     def test_score_equals_llr_oracle(self):
         """100+ random models (dim <= 8), 100 pairs each, |score - oracle| < 1e-8."""
@@ -108,7 +80,7 @@ class TestCriterion3InitEquivalence:
         chain = gplda.fit_preprocess(train, target_dim=10)
         proc = chain.apply(train.embedding_matrix())
         model = gplda.em_fit((proc, train.speaker_labels()), chain=chain)
-        trials = labelled_pair_trials(dev, 10_000, seed=1006)
+        trials = data.make_trials(dev, 10_000, 0.25, seed=1006)
         g = gplda.score_trials(model, trials, dev)
         params = nplda.init_from_gplda(model, g)
         n = nplda.score_trials(params, trials, dev)
@@ -475,13 +447,7 @@ class TestCriterion8DirectionalPipeline:
         fdev = data.read_features(feat / "dev.features")
         ftrials = data.read_trials(feat / "dev.trials")
         e_model = e2e.load_e2e(out / "model.e2e")
-        dev_batch = sampling.TrialBatch(
-            utterances=list(fdev),
-            enroll_ids=[t.enroll_id for t in ftrials],
-            test_ids=[t.test_id for t in ftrials],
-            trials=ftrials,
-        )
-        e_scored = e2e.score_trial_batch(e_model, dev_batch)
+        e_scored = e2e.score_trials(e_model, ftrials, fdev)
         e_cost, _ = metrics.min_dcf(e_scored, w)
         e_eer = metrics.eer(e_scored)
 

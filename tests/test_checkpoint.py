@@ -50,6 +50,13 @@ class TestContainer:
         with pytest.raises(ParseError):
             checkpoint.load_params(path)
 
+    def test_ragged_rows_name_their_line(self, tmp_path):
+        path = tmp_path / "bad"
+        path.write_text("svkit-params v1\nparam W 2 2 2\n1 2 3\n4\nend\n")
+        with pytest.raises(ParseError) as exc:
+            checkpoint.load_params(path)
+        assert exc.value.line_no == 4
+
     def test_wrong_value_count(self, tmp_path):
         path = tmp_path / "bad"
         path.write_text("svkit-params v1\nparam v 1 3\n1 2\nend\n")

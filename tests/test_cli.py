@@ -312,6 +312,19 @@ class TestNpldaAndChain:
         assert lines[0] == "epoch,loss,dev_eer,dev_mindcf"
         assert len(lines) == 3  # header + 2 epochs
 
+    def test_wrong_kind_init_is_user_error(self, emb_workspace, tmp_path, capsys):
+        root, cfg, out = emb_workspace
+        init = tmp_path / "backend.nplda"
+        nplda.save_nplda(nplda.init_random(10, 5, 4, seed=0), init)
+        code = run([
+            "train", "nplda", "--config", cfg,
+            "-O", f"data.train_embeddings={out}/train.embeddings",
+            "--init", str(init), "--out", str(tmp_path / "x.nplda"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(init) in err and "'nplda'" in err and "'gplda'" in err
+
     def test_rerun_identical_checkpoint(self, trained_gplda, emb_workspace, tmp_path):
         root, cfg, out = emb_workspace
         outs = []

@@ -1,7 +1,11 @@
+import ast
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from svkit import data
+from svkit import checkpoint, data
 from svkit.errors import (
     ArgumentError,
     DimensionError,
@@ -156,6 +160,92 @@ class TestTrialAndScoreFiles:
         path.write_text("a b maybe\n")
         with pytest.raises(ParseError):
             data.read_trials(path)
+
+
+READERS = {
+    "embeddings": data.read_embeddings,
+    "features": data.read_features,
+    "scores": data.read_scores,
+    "checkpoint": checkpoint.load_params,
+}
+
+
+def _code_sites(src_dir, match):
+    """(file, innermost enclosing function) of every AST node ``match`` accepts.
+
+    Docstrings and other bare string statements are not code and are skipped.
+    """
+    sites = set()
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Expr) and isinstance(child.value, ast.Constant):
+                continue
+            if match(child):
+                sites.add((path.name, scope))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, path, child.name if is_def else scope)
+
+    for path in sorted(Path(src_dir).glob("*.py")):
+        visit(ast.parse(path.read_text()), path, None)
+    return sites
+
+
+def _formats_17g(node):
+    return isinstance(node, ast.Constant) and isinstance(node.value, str) and ".17g" in node.value
+
+
+def _opens_for_writing(node):
+    if not isinstance(node, ast.Call):
+        return False
+    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+    if name in ("write_text", "write_bytes"):
+        return True
+    mode = node.args[1] if len(node.args) > 1 else next(
+        (kw.value for kw in node.keywords if kw.arg == "mode"), None)
+    return (name == "open" and isinstance(mode, ast.Constant)
+            and any(c in str(mode.value) for c in "wax+"))
+
+
+class TestTextLayer:
+    @pytest.mark.parametrize("fmt, text, line_no", [
+        ("embeddings", "u1 s1 M d 1 2\nu2 s2 F d 1 nan\n", 2),
+        ("features", "u1 s1 M d 2 2\n1 2\n3 inf\nu2 s2 F d 1 2\n5 6\n", 3),
+        ("scores", "a b 1.5\n\nc d -inf\n", 3),
+        ("checkpoint", "svkit-params v1\nparam v 1 2\n1 NaN\nend\n", 3),
+    ], ids=list(READERS))
+    def test_non_finite_value_names_its_line(self, tmp_path, fmt, text, line_no):
+        path = tmp_path / fmt
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            READERS[fmt](path)
+        assert exc.value.line_no == line_no
+
+    def test_failed_write_leaves_target_intact(self, tmp_path):
+        path = tmp_path / "scores.txt"
+        path.write_bytes(b"a b 1.5\n")
+
+        def lines():
+            yield "c d 2.5\n"
+            raise RuntimeError("killed midway")
+
+        with pytest.raises(RuntimeError):
+            data._write_lines(path, lines())
+        assert path.read_bytes() == b"a b 1.5\n"
+        assert os.listdir(tmp_path) == ["scores.txt"]
+
+    def test_one_formatter_and_one_writer(self):
+        src = Path(data.__file__).parent
+        assert _code_sites(src, _formats_17g) == {("data.py", "_fmt")}
+        assert _code_sites(src, _opens_for_writing) == {("data.py", "_write_lines")}
+
+
+class TestMakeTrials:
+    def test_one_speaker_draws_targets_only(self):
+        utts = [_utt(f"u{i}", "s1", [float(i)]) for i in range(3)]
+        trials = data.make_trials(utts, 5, 0.5, seed=0)
+        assert len({(t.enroll_id, t.test_id) for t in trials}) == 5
+        assert all(t.is_target for t in trials)
 
 
 class TestChunking:

@@ -35,7 +35,7 @@ def tiny_batch(rng, T=9):
         data.Trial("f1", "f2", data.NONTARGET),
         data.Trial("f1", "f3", data.TARGET),
     ]
-    return sampling.TrialBatch(utts, ["f0", "f1"], ["f2", "f3"], trials)
+    return sampling.TrialBatch(utts, trials)
 
 
 class TestConfig:
@@ -116,8 +116,6 @@ class TestScoreTrialBatch:
         fwd = e2e.score_trial_batch(model, batch)
         swapped = sampling.TrialBatch(
             batch.utterances,
-            batch.test_ids,
-            batch.enroll_ids,
             [data.Trial(t.test_id, t.enroll_id, t.label) for t in batch.trials],
         )
         rev = e2e.score_trial_batch(model, swapped)
@@ -138,9 +136,7 @@ class TestScoreTrialBatch:
         rng = np.random.default_rng(10)
         model = e2e.init_e2e(tiny_config(), seed=11)
         batch = tiny_batch(rng)
-        rev = sampling.TrialBatch(
-            batch.utterances, batch.enroll_ids, batch.test_ids, batch.trials[::-1]
-        )
+        rev = sampling.TrialBatch(batch.utterances, batch.trials[::-1])
         assert np.allclose(
             e2e.score_trial_batch(model, batch).scores,
             e2e.score_trial_batch(model, rev).scores[::-1],
@@ -270,7 +266,7 @@ class TestTraining:
         trials = [data.Trial("f0", "f4"), data.Trial("f1", "f5"), data.Trial("f2", "f6")]
         backend_scores = nplda.score_trials(head, trials, embs)
         combo = e2e.init_e2e(cfg, seed=24, head=head)
-        combo_batch = sampling.TrialBatch(list(utts), [], [], trials)
+        combo_batch = sampling.TrialBatch(list(utts), trials)
         combo_scores = e2e.score_trial_batch(combo, combo_batch)
         assert np.allclose(backend_scores.scores, combo_scores.scores, atol=1e-10)
 

@@ -21,6 +21,12 @@ def make_utts(n_speakers=8, utts_per_speaker=20, genders=("M",), datasets=("d1",
     return out
 
 
+def sides(batch):
+    """The batch's enroll and test utterance ids, in order of first use."""
+    return (list(dict.fromkeys(t.enroll_id for t in batch.trials)),
+            list(dict.fromkeys(t.test_id for t in batch.trials)))
+
+
 class TestAlgo2Batch:
     def test_m4_combinatorics(self):
         batch = sampling.sample_batch_algo2(make_utts(), m=4, seed=1)
@@ -28,7 +34,8 @@ class TestAlgo2Batch:
         assert len(batch.trials) == 1024
         assert batch.n_targets() == 256
         assert len(batch.trials) - batch.n_targets() == 768
-        assert len(batch.enroll_ids) * len(batch.test_ids) == 1024
+        enroll_ids, test_ids = sides(batch)
+        assert len(enroll_ids) * len(test_ids) == 1024
 
     def test_single_gender_and_dataset(self):
         batch = sampling.sample_batch_algo2(make_utts(), m=5, seed=2)
@@ -37,9 +44,10 @@ class TestAlgo2Batch:
 
     def test_no_utterance_on_both_sides(self):
         batch = sampling.sample_batch_algo2(make_utts(), m=6, seed=3)
-        assert not set(batch.enroll_ids) & set(batch.test_ids)
-        assert len(set(batch.enroll_ids)) == 32
-        assert len(set(batch.test_ids)) == 32
+        enroll_ids, test_ids = sides(batch)
+        assert not set(enroll_ids) & set(test_ids)
+        assert len(set(enroll_ids)) == 32
+        assert len(set(test_ids)) == 32
 
     def test_target_count_formula(self):
         # targets = sum over speakers of enroll_s * test_s
@@ -47,9 +55,10 @@ class TestAlgo2Batch:
         spk_of = {u.id: u.speaker_id for u in batch.utterances}
         per_spk_e = {}
         per_spk_t = {}
-        for i in batch.enroll_ids:
+        enroll_ids, test_ids = sides(batch)
+        for i in enroll_ids:
             per_spk_e[spk_of[i]] = per_spk_e.get(spk_of[i], 0) + 1
-        for i in batch.test_ids:
+        for i in test_ids:
             per_spk_t[spk_of[i]] = per_spk_t.get(spk_of[i], 0) + 1
         expected = sum(per_spk_e[s] * per_spk_t.get(s, 0) for s in per_spk_e)
         assert batch.n_targets() == expected
