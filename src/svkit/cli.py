@@ -449,21 +449,17 @@ def cmd_score(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    key = {(t.enroll_id, t.test_id): t.label for t in dm.read_trials(args.key)}
-    if any(label is None for label in key.values()):
+    key = {(t.enroll_id, t.test_id): t for t in dm.read_trials(args.key)}
+    if any(t.label is None for t in key.values()):
         raise ArgumentError(f"{args.key}: every key trial needs a label")
     rows = dm.read_scores(args.scores)
-    trials = []
-    scores = []
     unkeyed = [(e, t) for e, t, _ in rows if (e, t) not in key]
     if unkeyed:
         raise ArgumentError(
             f"{len(unkeyed)} scored trial(s) missing from the key, first: {unkeyed[0]}"
         )
-    for e, t, s in rows:
-        trials.append(dm.Trial(e, t, key[(e, t)]))
-        scores.append(s)
-    scored = dm.ScoredTrialSet(trials, np.array(scores))
+    scored = dm.ScoredTrialSet([key[(e, t)] for e, t, _ in rows],
+                               np.array([s for _, _, s in rows]))
     weights = metrics_mod.DcfWeights(args.c_miss, args.c_fa, args.p_target)
     if args.extra_p_target:
         all_w = [weights] + [

@@ -352,8 +352,11 @@ def read_features(path) -> UtteranceSet:
                 raise DimensionError(f"{path}:{line_no}: feature dim {d} != {dim}")
             frames = _float_block(path, numbered, line_no, T, d,
                                   f"expected {T} frame lines, file truncated")
-            utts.append(Utterance(utt_id, spk, gender, dataset,
-                                  FeatureMatrix(frames.reshape(T, d))))
+            try:
+                utts.append(Utterance(utt_id, spk, gender, dataset,
+                                      FeatureMatrix(frames.reshape(T, d))))
+            except ArgumentError as exc:
+                raise ParseError(path, line_no, str(exc)) from None
     return UtteranceSet(utts)
 
 

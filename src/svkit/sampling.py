@@ -8,6 +8,10 @@ builds each batch from a small set of utterances of m speakers, all of one
 gender and one dataset, splits every speaker's utterances into enroll and
 test halves, and labels the full cross product; 64 utterances split 32/32
 yield 1024 trials.
+
+Each sampler call builds one speaker-pool index, ``_speaker_pools``, and
+both samplers draw from it; cross-product batches are built by
+``_cross_product``.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from .data import NONTARGET, TARGET, Trial, Utterance, _write_lines
 from .errors import ArgumentError, SamplerError
 
 UTTS_PER_BATCH = 64
-TRIALS_PER_BATCH = 1024
 
 
 @dataclass(frozen=True)
@@ -28,7 +31,6 @@ class SamplerConfig:
     utts_per_batch: int = UTTS_PER_BATCH
     m_min: int = 3
     m_max: int = 8
-    trials_per_batch: int = TRIALS_PER_BATCH
     seed: int = 0
 
     def __post_init__(self):
@@ -59,42 +61,75 @@ class TrialBatch:
         return {u.id: u for u in self.utterances}
 
 
-def partition_by_gender_dataset(utterances) -> dict[tuple[str, str], list[Utterance]]:
-    parts: dict[tuple[str, str], list[Utterance]] = {}
+def _speaker_pools(utterances) -> dict[tuple[str, str], dict[str, list[Utterance]]]:
+    """{(gender, dataset): {speaker: that speaker's utterances sorted by id}}.
+
+    Speakers keep their order of first appearance within a partition, which
+    fixes the order in which the pairwise sampler shuffles their pools.
+    """
+    pools: dict[tuple[str, str], dict[str, list[Utterance]]] = {}
     for u in utterances:
-        parts.setdefault((u.gender, u.dataset_id), []).append(u)
-    return parts
+        pools.setdefault((u.gender, u.dataset_id), {}).setdefault(u.speaker_id, []).append(u)
+    for by_spk in pools.values():
+        for us in by_spk.values():
+            us.sort(key=lambda u: u.id)
+    return pools
 
 
 def _allocate_counts(m: int, utts_per_batch: int, available: list[int]) -> list[int]:
     """Even utterance counts per speaker summing to utts_per_batch.
 
-    Distributes pairs (so halves split cleanly) as evenly as possible, then
-    round-robins the remainder, honoring per-speaker availability.
+    Splits the pairs (so halves split cleanly) as evenly as possible, clamps
+    each speaker to the pairs it has, then fills the excess into speakers
+    with room, in speaker order.
     """
     pairs_total = utts_per_batch // 2
-    base = pairs_total // m
-    rem = pairs_total % m
-    pairs = [base + (1 if i < rem else 0) for i in range(m)]
     capacity = [a // 2 for a in available]
-    # Shift overflow pairs to speakers with spare capacity.
-    for i in range(m):
-        while pairs[i] > capacity[i]:
-            moved = False
-            for j in range(m):
-                if pairs[j] < capacity[j]:
-                    pairs[i] -= 1
-                    pairs[j] += 1
-                    moved = True
-                    break
-            if not moved:
-                raise SamplerError(
-                    f"cannot place {utts_per_batch} utterances on {m} speakers "
-                    f"with capacities {available}"
-                )
+    if pairs_total > sum(capacity):
+        raise SamplerError(
+            f"cannot place {utts_per_batch} utterances on {m} speakers "
+            f"with capacities {available}"
+        )
+    base, rem = divmod(pairs_total, m)
+    pairs = [min(base + (i < rem), c) for i, c in enumerate(capacity)]
+    excess = pairs_total - sum(pairs)
+    for i, c in enumerate(capacity):
+        take = min(c - pairs[i], excess)
+        pairs[i] += take
+        excess -= take
     if min(pairs) < 1:
         raise SamplerError(f"allocation left a speaker empty: pairs={pairs}")
     return [2 * p for p in pairs]
+
+
+def _cross_product(key: tuple[str, str], by_spk: dict[str, list[Utterance]],
+                   speakers: list[str], utts_per_batch: int, seed: int,
+                   rng: np.random.Generator) -> TrialBatch:
+    """The enroll x test batch of ``speakers`` from one partition's pools.
+
+    Each speaker gets an even count of its utterances, drawn and shuffled by
+    ``rng``, and splits them into an enroll and a test half.
+    """
+    counts = _allocate_counts(len(speakers), utts_per_batch,
+                              [len(by_spk[s]) for s in speakers])
+    utterances: list[Utterance] = []
+    enroll: list[Utterance] = []
+    test: list[Utterance] = []
+    for spk, count in zip(speakers, counts):
+        pool = by_spk[spk]
+        chosen = [pool[i] for i in rng.choice(len(pool), size=count, replace=False)]
+        rng.shuffle(chosen)
+        utterances += chosen
+        enroll += chosen[: count // 2]
+        test += chosen[count // 2 :]
+    trials = [
+        Trial(e.id, t.id, TARGET if e.speaker_id == t.speaker_id else NONTARGET)
+        for e in enroll
+        for t in test
+    ]
+    gender, dataset = key
+    return TrialBatch(utterances, trials, gender, dataset,
+                      tag=f"{gender}/{dataset}/m{len(speakers)}/seed{seed}")
 
 
 def sample_batch_algo2(
@@ -107,21 +142,18 @@ def sample_batch_algo2(
     """One gender/dataset-homogeneous cross-product batch from m speakers."""
     if not partition:
         raise SamplerError("empty partition")
-    gender = partition[0].gender
-    dataset = partition[0].dataset_id
-    name = f"{gender}/{dataset}"
-    by_spk: dict[str, list[Utterance]] = {}
-    for u in partition:
-        if u.gender != gender or u.dataset_id != dataset:
-            raise SamplerError(f"partition {name} mixes genders or datasets")
-        by_spk.setdefault(u.speaker_id, []).append(u)
-    usable = {s: us for s, us in by_spk.items() if len(us) >= 2}
+    pools = _speaker_pools(partition)
+    key = (partition[0].gender, partition[0].dataset_id)
+    name = f"{key[0]}/{key[1]}"
+    if len(pools) > 1:
+        raise SamplerError(f"partition {name} mixes genders or datasets")
+    usable = {s: us for s, us in pools[key].items() if len(us) >= 2}
+    rng = np.random.default_rng(seed)
     if speakers is None:
         if len(usable) < m:
             raise SamplerError(
                 f"partition {name} has {len(usable)} usable speakers, need {m}"
             )
-        rng = np.random.default_rng(seed)
         speakers = list(rng.choice(sorted(usable), size=m, replace=False))
     else:
         if len(speakers) != m:
@@ -129,39 +161,7 @@ def sample_batch_algo2(
         for s in speakers:
             if s not in usable:
                 raise SamplerError(f"speaker {s!r} unusable in partition {name}")
-        rng = np.random.default_rng(seed)
-    counts = _allocate_counts(m, utts_per_batch, [len(usable[s]) for s in speakers])
-
-    utterances: list[Utterance] = []
-    enroll_ids: list[str] = []
-    test_ids: list[str] = []
-    side_speaker: dict[str, str] = {}
-    for spk, count in zip(speakers, counts):
-        pool = sorted(usable[spk], key=lambda u: u.id)
-        chosen = list(rng.choice(len(pool), size=count, replace=False))
-        chosen_utts = [pool[i] for i in chosen]
-        rng.shuffle(chosen_utts)
-        half = count // 2
-        for u in chosen_utts[:half]:
-            enroll_ids.append(u.id)
-        for u in chosen_utts[half:]:
-            test_ids.append(u.id)
-        utterances.extend(chosen_utts)
-        for u in chosen_utts:
-            side_speaker[u.id] = spk
-
-    trials = [
-        Trial(e, t, TARGET if side_speaker[e] == side_speaker[t] else NONTARGET)
-        for e in enroll_ids
-        for t in test_ids
-    ]
-    return TrialBatch(
-        utterances=utterances,
-        trials=trials,
-        gender=gender,
-        dataset_id=dataset,
-        tag=f"{name}/m{m}/seed{seed}",
-    )
+    return _cross_product(key, usable, speakers, utts_per_batch, seed, rng)
 
 
 def sample_epoch_algo2(
@@ -173,21 +173,14 @@ def sample_epoch_algo2(
     exhausted, then the pool reshuffles.  m cycles through the configured
     range.  Finally the batch order is pooled and randomized.
     """
-    parts = partition_by_gender_dataset(utterances)
-    keys = sorted(parts)
+    pools = _speaker_pools(utterances)
+    keys = sorted(pools)
     rng = np.random.default_rng(cfg.seed)
     batches: list[TrialBatch] = []
-    pools: dict[tuple[str, str], list[str]] = {}
-    usable: dict[tuple[str, str], list[str]] = {}
-    capacity: dict[tuple[str, str], dict[str, int]] = {}
-    for key in keys:
-        by_spk: dict[str, int] = {}
-        for u in parts[key]:
-            by_spk[u.speaker_id] = by_spk.get(u.speaker_id, 0) + 1
-        usable[key] = sorted(s for s, c in by_spk.items() if c >= 2)
-        # even counts only: each speaker splits into enroll/test halves
-        capacity[key] = {s: (by_spk[s] // 2) * 2 for s in usable[key]}
-        pools[key] = []
+    # usable speakers in id order; even counts only: each splits into enroll/test halves
+    capacity = {k: {s: len(us) // 2 * 2 for s, us in sorted(pools[k].items()) if len(us) >= 2}
+                for k in keys}
+    queue: dict[tuple[str, str], list[str]] = {k: [] for k in keys}
 
     def feasible_m(key, m_wanted: int) -> int | None:
         """Smallest m >= m_wanted whose top-m speakers can fill a batch."""
@@ -204,38 +197,29 @@ def sample_epoch_algo2(
         )
     m_cycle = list(range(cfg.m_min, cfg.m_max + 1))
     i = 0
+    # some key is feasible, so every len(keys) passes add a batch: <= n_batches * len(keys)
     while len(batches) < n_batches:
         key = keys[i % len(keys)]
         i += 1
-        m = feasible_m(key, m_cycle[len(batches) % len(m_cycle)])
+        m = feasible_m(key, m_cycle[len(batches) % len(m_cycle)]) or feasible_m(key, cfg.m_min)
         if m is None:
-            m = feasible_m(key, cfg.m_min)
-        if m is None:
-            if len(keys) == 1:
-                raise SamplerError(f"partition {key} has too few usable speakers")
             continue
         speakers: list[str] = []
         total_cap = 0
+        # a refill holds every usable speaker, enough for both tests: < 2 * len(refill) pops
         while len(speakers) < m or total_cap < cfg.utts_per_batch:
-            if not pools[key]:
-                refill = list(usable[key])
+            if not queue[key]:
+                refill = list(capacity[key])
                 rng.shuffle(refill)
-                pools[key].extend(refill)
-            spk = pools[key].pop()
+                queue[key].extend(refill)
+            spk = queue[key].pop()
             if spk in speakers:
                 continue
             speakers.append(spk)
             total_cap += capacity[key][spk]
-        m = len(speakers)
-        batches.append(
-            sample_batch_algo2(
-                parts[key],
-                m,
-                seed=int(rng.integers(2**31)),
-                utts_per_batch=cfg.utts_per_batch,
-                speakers=speakers,
-            )
-        )
+        seed = int(rng.integers(2**31))
+        batches.append(_cross_product(key, pools[key], speakers, cfg.utts_per_batch, seed,
+                                      np.random.default_rng(seed)))
     return pool_and_shuffle(batches, int(rng.integers(2**31)))
 
 
@@ -256,51 +240,46 @@ def sample_trials_algo1(
         raise ArgumentError("target_ratio must lie in [0, 1]")
     if batch_size not in (1024, 2048):
         raise ArgumentError("batch_size must be 1024 or 2048")
-    parts = partition_by_gender_dataset(utterances)
-    keys = sorted(parts)
+    pools = _speaker_pools(utterances)
+    keys = sorted(pools)
     if not keys:
         raise SamplerError("no utterances to sample from")
     rng = np.random.default_rng(seed)
 
-    max_total = sum(len(parts[k]) // 2 for k in keys)
+    sizes = {k: sum(map(len, pools[k].values())) for k in keys}
+    max_total = sum(sizes[k] // 2 for k in keys)
     if n_trials > max_total:
         raise SamplerError(
             f"{n_trials} trials unattainable without repetition; max is {max_total}"
         )
 
-    total_utts = sum(len(parts[k]) for k in keys)
-    quotas = {k: int(round(n_trials * len(parts[k]) / total_utts)) for k in keys}
-    # Fix rounding drift against per-partition capacity.
+    total_utts = sum(sizes.values())
+    quotas = {k: min(int(round(n_trials * sizes[k] / total_utts)), sizes[k] // 2)
+              for k in keys}
+    # Rounding can miss n_trials either way.  A shortfall goes where there is
+    # room, in key order; a surplus (less than one trial per partition) is
+    # taken back one trial per partition, from the last key.
+    drift = n_trials - sum(quotas.values())
     for k in keys:
-        quotas[k] = min(quotas[k], len(parts[k]) // 2)
-    deficit = n_trials - sum(quotas.values())
-    for k in keys:
-        if deficit <= 0:
-            break
-        room = len(parts[k]) // 2 - quotas[k]
-        take = min(room, deficit)
+        take = max(0, min(sizes[k] // 2 - quotas[k], drift))
         quotas[k] += take
-        deficit -= take
-    if deficit > 0:
-        raise SamplerError(
-            f"{n_trials} trials unattainable without repetition; max is {max_total}"
-        )
+        drift -= take
+    for k in reversed(keys):
+        if drift < 0 and quotas[k] > 0:
+            quotas[k] -= 1
+            drift += 1
 
     all_trials: list[tuple[Trial, Utterance, Utterance]] = []
     for k in keys:
-        by_spk: dict[str, list[Utterance]] = {}
-        for u in parts[k]:
-            by_spk.setdefault(u.speaker_id, []).append(u)
-        pool: dict[str, list[Utterance]] = {
-            s: sorted(us, key=lambda u: u.id) for s, us in by_spk.items()
-        }
+        # copies: shuffling and popping must leave the shared index as it is
+        pool = {s: list(us) for s, us in pools[k].items()}
         for us in pool.values():
             rng.shuffle(us)
         made = 0
+        # each pass makes one trial or raises: at most quotas[k] passes
         while made < quotas[k]:
+            # nonempty: a quota of at most half the partition leaves >= 2 utterances
             speakers = sorted(s for s, us in pool.items() if us)
-            if not speakers:
-                raise SamplerError(f"partition {k} exhausted after {made} trials")
             want_target = rng.random() < target_ratio
             if want_target:
                 eligible = [s for s in speakers if len(pool[s]) >= 2]
@@ -324,57 +303,29 @@ def sample_trials_algo1(
             all_trials.append((Trial(enroll.id, test.id, label), enroll, test))
             made += 1
 
-    order = rng.permutation(len(all_trials))
-    return _mixed_batches([all_trials[i] for i in order], batch_size, "algo1")
-
-
-def _mixed_batches(flat: list[tuple[Trial, Utterance, Utterance]], size: int,
-                   prefix: str) -> list[TrialBatch]:
-    """Consecutive batches of ``size`` trials, tagged ``<prefix>/<index>``.
-
-    Each batch carries the utterances its trials reference, in order of
-    first reference; gender and dataset are None because trials may mix.
-    """
+    # pooled, shuffled, then cut into batches carrying the utterances their
+    # trials reference, in order of first reference
+    flat = [all_trials[i] for i in rng.permutation(len(all_trials))]
     batches: list[TrialBatch] = []
-    for start in range(0, len(flat), size):
-        chunk = flat[start : start + size]
+    for start in range(0, len(flat), batch_size):
+        chunk = flat[start : start + batch_size]
         utts: dict[str, Utterance] = {}
         for _, e, t in chunk:
             utts.setdefault(e.id, e)
             utts.setdefault(t.id, t)
-        batches.append(
-            TrialBatch(
-                utterances=list(utts.values()),
-                trials=[tr for tr, _, _ in chunk],
-                gender=None,
-                dataset_id=None,
-                tag=f"{prefix}/{start // size}",
-            )
-        )
+        batches.append(TrialBatch(list(utts.values()), [tr for tr, _, _ in chunk],
+                                  tag=f"algo1/{start // batch_size}"))
     return batches
 
 
 def pool_and_shuffle(batches: list[TrialBatch], seed: int) -> list[TrialBatch]:
-    """Randomize batch order; mixed batches are reshuffled at trial level.
+    """Randomize batch order; it only permutes batches, never their trials.
 
-    Homogeneous (single gender+dataset) batches stay intact so their
-    cross-product structure survives; pooled mixed batches are flattened,
-    permuted, and re-batched at their original size.
+    Cross-product batches keep their structure, and a batch's trials stay
+    together and in order.
     """
-    if not batches:
-        return []
-    rng = np.random.default_rng(seed)
-    if all(b.gender is not None for b in batches):
-        order = rng.permutation(len(batches))
-        return [batches[i] for i in order]
-    flat: list[tuple[Trial, Utterance, Utterance]] = []
-    size = max(len(b.trials) for b in batches)
-    for b in batches:
-        lookup = b.utterance_by_id()
-        for t in b.trials:
-            flat.append((t, lookup[t.enroll_id], lookup[t.test_id]))
-    order = rng.permutation(len(flat))
-    return _mixed_batches([flat[i] for i in order], size, "pooled")
+    order = np.random.default_rng(seed).permutation(len(batches))
+    return [batches[i] for i in order]
 
 
 def write_batches(batches: list[TrialBatch], path) -> None:

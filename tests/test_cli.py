@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from svkit import cli, data, e2e, gplda, metrics, nplda
+from svkit.checkpoint import load_params
 
 
 def run(args):
@@ -399,6 +400,34 @@ class TestE2ECli:
         ]) == 0
         model = e2e.load_e2e(ck)
         assert model.head.W1.shape == (5, 6)
+
+    def test_extractor_warm_start(self, feat_workspace, tmp_path):
+        # zero epochs: the extractor checkpoint passes through, with --init replacing its head
+        root, cfg, out = feat_workspace
+        base = ["train", "e2e", "--config", cfg, "--seed", "4",
+                "-O", f"data.train_features={out}/train.features"]
+        extractor = tmp_path / "extractor.e2e"
+        assert run(base + ["--out", str(extractor)]) == 0
+        untouched = tmp_path / "untouched.e2e"
+        assert run(base + ["-O", "optimizer.epochs=0", "--extractor", str(extractor),
+                           "--out", str(untouched)]) == 0
+        assert untouched.read_bytes() == extractor.read_bytes()
+
+        head_path = tmp_path / "head.nplda"
+        nplda.save_nplda(nplda.init_random(6, 5, 4, seed=9), head_path)
+        warm = tmp_path / "warm.e2e"
+        assert run(base + ["-O", "optimizer.epochs=0", "--extractor", str(extractor),
+                           "--init", str(head_path), "--out", str(warm)]) == 0
+        got, _ = load_params(warm)
+        trained, _ = load_params(extractor)
+        head, _ = load_params(head_path)
+        assert {n[len("head."):] for n in got if n.startswith("head.")} == set(head)
+        for name, value in got.items():
+            if name.startswith("head."):
+                assert np.array_equal(value, head[name[len("head."):]])
+            else:
+                assert np.array_equal(value, trained[name])
+        assert not np.array_equal(trained["head.W1"], head["W1"])
 
 
 class TestSampleAndMem:

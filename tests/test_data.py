@@ -221,6 +221,17 @@ class TestTextLayer:
             READERS[fmt](path)
         assert exc.value.line_no == line_no
 
+    @pytest.mark.parametrize("fmt, text, line_no", [
+        ("embeddings", "u1 s1 M d 1 2\nu2 s2 X d 3 4\n", 2),
+        ("features", "u1 s1 M d 1 2\n1 2\nu2 s2 X d 1 2\n3 4\n", 3),
+    ], ids=["embeddings", "features"])
+    def test_bad_gender_names_its_line(self, tmp_path, fmt, text, line_no):
+        path = tmp_path / fmt
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            READERS[fmt](path)
+        assert exc.value.line_no == line_no
+
     def test_failed_write_leaves_target_intact(self, tmp_path):
         path = tmp_path / "scores.txt"
         path.write_bytes(b"a b 1.5\n")

@@ -180,6 +180,14 @@ class TestAlgo1:
         b = sampling.sample_trials_algo1(utts, n_trials=30, seed=6)
         assert [t for bb in a for t in bb.trials] == [t for bb in b for t in bb.trials]
 
+    @pytest.mark.parametrize("n_trials", [6, 14, 22])
+    def test_exact_trial_count(self, n_trials):
+        # four partitions of 40 utterances: every quota n_trials / 4 rounds up
+        utts = make_utts(n_speakers=4, utts_per_speaker=10,
+                         genders=("M", "F"), datasets=("d1", "d2"))
+        batches = sampling.sample_trials_algo1(utts, n_trials=n_trials, seed=0)
+        assert sum(len(b.trials) for b in batches) == n_trials
+
     def test_batch_size_validated(self):
         with pytest.raises(ArgumentError):
             sampling.sample_trials_algo1(make_utts(), n_trials=10, batch_size=100, seed=0)
