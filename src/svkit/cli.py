@@ -95,6 +95,12 @@ DEFAULTS = {
     "data": {},
 }
 
+# keys read with no default, so a resolved copy lists them only when they are set
+_OPTIONAL_KEYS = {
+    "simulate": ("seed", "phi_scales", "noise_scales"),
+    "data": ("train_embeddings", "dev_embeddings", "dev_trials", "train_features", "dev_features"),
+}
+
 
 class Config:
     """INI-backed experiment configuration with CLI overrides."""
@@ -115,6 +121,11 @@ class Config:
             if section not in self.parser:
                 self.parser[section] = {}
             self.parser[section][name] = value
+        for section in self.parser.sections():
+            known = set(DEFAULTS.get(section, ())) | set(_OPTIONAL_KEYS.get(section, ()))
+            for name in self.parser[section]:
+                if name not in known:
+                    raise ConfigError(f"unknown config key [{section}] {name}")
 
     def get(self, section: str, key: str, default: str | None = None) -> str:
         try:
@@ -125,10 +136,17 @@ class Config:
             raise ConfigError(f"missing config value [{section}] {key}") from None
 
     def getint(self, section, key):
-        return int(self.get(section, key))
+        return self._parse(int, section, key)
 
     def getfloat(self, section, key):
-        return float(self.get(section, key))
+        return self._parse(float, section, key)
+
+    def _parse(self, kind, section, key):
+        value = self.get(section, key)
+        try:
+            return kind(value)
+        except ValueError:
+            raise ConfigError(f"[{section}] {key} = {value!r}: expected {kind.__name__}") from None
 
     def getbool(self, section, key):
         return self.get(section, key).strip().lower() in ("1", "true", "yes", "on")
@@ -352,7 +370,7 @@ def cmd_train(args) -> int:
         processed = chain.apply(train_set.embedding_matrix())
         model = gplda_mod.em_fit(
             (processed, train_set.speaker_labels()),
-            latent_dim=int(latent) if latent else None,
+            latent_dim=cfg.getint("gplda", "latent_dim") if latent else None,
             n_iters=cfg.getint("gplda", "em_iters"),
             average_per_speaker=cfg.getbool("gplda", "average_per_speaker"),
             chain=chain,
@@ -506,7 +524,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_estimate_mem(args) -> int:
-    cfg = Config(args.config, args.override) if args.config else Config(None, args.override)
+    cfg = Config(args.config, args.override)
     e2e_cfg = e2e_mod.full_size_config() if args.full_size else _e2e_config(cfg)
     est = e2e_mod.estimate_memory(args.n_trials, args.frames, e2e_cfg)
     for name, b in est.per_layer:

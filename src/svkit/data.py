@@ -121,6 +121,18 @@ class Trial:
         return self.label == TARGET
 
 
+_LABEL_VALUES = {TARGET: 1.0, NONTARGET: 0.0}
+
+
+def _labels(trials) -> np.ndarray:
+    """0/1 label vector of ``trials``; an unlabelled trial raises ArgumentError."""
+    try:
+        return np.array([_LABEL_VALUES[t.label] for t in trials], dtype=np.float64)
+    except KeyError:
+        t = next(t for t in trials if t.label is None)
+        raise ArgumentError(f"trial {t.enroll_id}/{t.test_id} has no label") from None
+
+
 @dataclass
 class ScoredTrialSet:
     """Trials with their log-likelihood-ratio scores."""
@@ -138,12 +150,7 @@ class ScoredTrialSet:
 
     def labels(self) -> np.ndarray:
         """0/1 label vector; raises if any trial is unlabelled."""
-        out = np.empty(len(self.trials), dtype=np.float64)
-        for i, t in enumerate(self.trials):
-            if t.label is None:
-                raise ArgumentError(f"trial {t.enroll_id}/{t.test_id} has no label")
-            out[i] = 1.0 if t.is_target else 0.0
-        return out
+        return _labels(self.trials)
 
     def __len__(self) -> int:
         return len(self.trials)
@@ -193,18 +200,13 @@ class UtteranceSet:
             seen.setdefault(u.speaker_id, None)
         return list(seen)
 
-    def resolve(self, trials: list[Trial]) -> None:
-        """Raise MissingIdError listing every unresolvable trial id."""
-        pair_index(trials, self)
-
     def embedding_matrix(self, ids: list[str] | None = None) -> np.ndarray:
         """Stack embedding payloads into an (n, D) matrix."""
         utts = self.utterances if ids is None else [self[i] for i in ids]
         return np.stack([u.payload.vector for u in utts])
 
-    def speaker_labels(self, ids: list[str] | None = None) -> list[str]:
-        utts = self.utterances if ids is None else [self[i] for i in ids]
-        return [u.speaker_id for u in utts]
+    def speaker_labels(self) -> list[str]:
+        return [u.speaker_id for u in self.utterances]
 
 
 def pair_index(trials: list[Trial], lookup) -> tuple[list[str], np.ndarray, np.ndarray]:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import nplda
 from .checkpoint import _load_kind, save_params
-from .data import FeatureMatrix, ScoredTrialSet, Trial, UtteranceSet, pair_index
+from .data import FeatureMatrix, ScoredTrialSet, Trial, UtteranceSet, _labels, pair_index
 from .errors import ArgumentError, LengthError
 from .nn import (
     POOL_STDDEV,
@@ -29,7 +29,6 @@ from .nn import (
     _tdnn_pre,
     affine,
     affine_backward,
-    relu,
     stats_pool,
     stats_pool_backward,
     tdnn_layer,
@@ -78,10 +77,6 @@ class E2EConfig:
                 raise ArgumentError(
                     f"layer dims do not chain: {a.out_dim} -> {b.in_dim}"
                 )
-
-    @property
-    def feat_dim(self) -> int:
-        return self.layers[0].in_dim
 
     @property
     def min_frames(self) -> int:
@@ -276,19 +271,10 @@ def _model_grads(model: E2EModel, head_grads: dict, caches, dX: np.ndarray) -> d
 
 
 def score_trials(model: E2EModel, trials: list[Trial], utts) -> ScoredTrialSet:
-    """Embed each referenced utterance once, then score every trial pair.
-
-    ``utts`` is an UtteranceSet of feature matrices or a dict of utterances
-    keyed by id.
-    """
+    """Embed each utterance of ``utts`` (an UtteranceSet) the trials reference once; score them."""
     X, _, e_idx, t_idx = _trial_embeddings(model, trials, utts, with_cache=False)
     scores, _ = nplda._head_forward(model.head, X, e_idx, t_idx)
     return ScoredTrialSet(list(trials), np.atleast_1d(scores))
-
-
-def score_trial_batch(model: E2EModel, batch: TrialBatch) -> ScoredTrialSet:
-    """score_trials over a batch's trials and utterances."""
-    return score_trials(model, batch.trials, batch.utterance_by_id())
 
 
 def score_with_grads(model: E2EModel, frames_e, frames_t):
@@ -313,25 +299,24 @@ def min_abs_preactivation(model: E2EModel, frames) -> float:
 
     Finite-difference checks of a piecewise-linear network are only valid
     when no perturbation crosses a kink; callers can use this to confirm a
-    safety margin of a few orders above the step size.
+    safety margin of a few orders above the step size.  Like every extractor
+    entry, it needs at least ``config.min_frames`` frames.
     """
-    X = _frames_of(frames)
+    _, (layer_inputs, _, _) = _extract_with_cache(model, _frames_of(frames))
     closest = np.inf
-    for layer, W, b in zip(model.config.layers, model.tdnn_W, model.tdnn_b):
+    for X, layer, W, b in zip(layer_inputs, model.config.layers, model.tdnn_W, model.tdnn_b):
         _, _, pre = _tdnn_pre(X, np.asarray(layer.offsets, dtype=np.int64), W, b)
         closest = min(closest, float(np.min(np.abs(pre))))
-        X = relu(pre)
     return closest
 
 
 def batch_loss_and_grads(model: E2EModel, batch: TrialBatch, cfg: LossConfig):
     """Soft-DCF loss and gradients for the whole model on one batch."""
     X, caches, e_idx, t_idx = _trial_embeddings(
-        model, batch.trials, batch.utterance_by_id(), with_cache=True
+        model, batch.trials, batch.utterances, with_cache=True
     )
-    labels = np.array([1.0 if t.is_target else 0.0 for t in batch.trials])
     loss, head_grads, dX = nplda.stack_loss_and_grads(
-        model.head, X, e_idx, t_idx, labels, cfg
+        model.head, X, e_idx, t_idx, _labels(batch.trials), cfg
     )
     return loss, _model_grads(model, head_grads, caches, dX)
 

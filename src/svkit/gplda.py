@@ -48,14 +48,10 @@ class PreprocessChain:
     apply_length_norm: bool = True
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        single = X.ndim == 1
-        if single:
-            X = X[None, :]
-        out = (X - self.mean) @ self.lda.T
+        out = (np.asarray(X, dtype=np.float64) - self.mean) @ self.lda.T
         if self.apply_length_norm:
             out = nn.length_norm(out)
-        return out[0] if single else out
+        return out
 
     @property
     def out_dim(self) -> int:

@@ -47,12 +47,6 @@ class EvalReport:
     eer: float
     min_dcf: float
     threshold: float
-    weights: DcfWeights
-    actual_dcf: float | None = None
-
-
-def compute_beta(c_miss: float, c_fa: float, p_target: float) -> float:
-    return DcfWeights(c_miss, c_fa, p_target).beta
 
 
 def _split_scores(scored: ScoredTrialSet):
@@ -135,10 +129,7 @@ def eer(scored: ScoredTrialSet) -> float:
     return float(m0 + t * (m1 - m0))
 
 
-def evaluate(scored: ScoredTrialSet, weights: DcfWeights = DcfWeights(),
-             threshold: float | None = None) -> EvalReport:
-    """EER and minDCF (plus actual DCF at a given threshold, if any)."""
+def evaluate(scored: ScoredTrialSet, weights: DcfWeights = DcfWeights()) -> EvalReport:
+    """EER, and minDCF with its threshold."""
     cost, theta = min_dcf(scored, weights)
-    actual = dcf(scored, threshold, weights) if threshold is not None else None
-    return EvalReport(eer=eer(scored), min_dcf=cost, threshold=theta,
-                      weights=weights, actual_dcf=actual)
+    return EvalReport(eer=eer(scored), min_dcf=cost, threshold=theta)

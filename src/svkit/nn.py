@@ -38,34 +38,21 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def affine(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """y = W x + b for a vector, or row-wise X W^T + b for a batch."""
+    """y = x W^T + b on the last axis: one vector, or a batch of rows."""
     x = np.asarray(x, dtype=np.float64)
     if W.ndim != 2 or b.shape != (W.shape[0],):
         raise ShapeError(f"bad affine parameter shapes W{W.shape} b{b.shape}")
-    if x.ndim == 1:
-        if x.shape[0] != W.shape[1]:
-            raise ShapeError(f"affine: x has dim {x.shape[0]}, W expects {W.shape[1]}")
-        return W @ x + b
-    if x.ndim == 2:
-        if x.shape[1] != W.shape[1]:
-            raise ShapeError(f"affine: x has dim {x.shape[1]}, W expects {W.shape[1]}")
-        return x @ W.T + b
-    raise ShapeError(f"affine input must be 1-D or 2-D, got shape {x.shape}")
+    if x.ndim not in (1, 2) or x.shape[-1] != W.shape[1]:
+        raise ShapeError(f"affine: x has shape {x.shape}, W expects rows of {W.shape[1]}")
+    return x @ W.T + b
 
 
 def affine_backward(dy: np.ndarray, x: np.ndarray, W: np.ndarray):
     """Gradients (dx, dW, db) given the output gradient dy."""
     dy = np.asarray(dy, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        dx = W.T @ dy
-        dW = np.outer(dy, x)
-        db = dy.copy()
-    else:
-        dx = dy @ W
-        dW = dy.T @ x
-        db = dy.sum(axis=0)
-    return dx, dW, db
+    dy_rows = np.atleast_2d(dy)
+    return dy @ W, dy_rows.T @ np.atleast_2d(x), dy_rows.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -74,25 +61,18 @@ def affine_backward(dy: np.ndarray, x: np.ndarray, W: np.ndarray):
 
 
 def length_norm(x: np.ndarray) -> np.ndarray:
-    """Project onto the unit sphere; the norm is floored by EPS_NORM."""
+    """Project onto the unit sphere along the last axis; the norm is floored by EPS_NORM."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return x / (np.linalg.norm(x) + EPS_NORM)
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    return x / (norms + EPS_NORM)
+    return x / (np.linalg.norm(x, axis=-1, keepdims=True) + EPS_NORM)
 
 
 def length_norm_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Exact Jacobian-transpose product for y = x / (|x| + eps)."""
     x = np.asarray(x, dtype=np.float64)
     dy = np.asarray(dy, dtype=np.float64)
-    if x.ndim == 1:
-        n = np.linalg.norm(x)
-        ne = n + EPS_NORM
-        return dy / ne - x * (x @ dy) / (max(n, EPS_NORM) * ne * ne)
-    n = np.linalg.norm(x, axis=1, keepdims=True)
+    n = np.linalg.norm(x, axis=-1, keepdims=True)
     ne = n + EPS_NORM
-    dots = np.sum(x * dy, axis=1, keepdims=True)
+    dots = np.sum(x * dy, axis=-1, keepdims=True)
     return dy / ne - x * dots / (np.maximum(n, EPS_NORM) * ne * ne)
 
 
@@ -271,9 +251,8 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
 
-def adam_init(params: dict, lr: float = 1e-4, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+def adam_init(params: dict, lr: float = 1e-4) -> AdamState:
+    state = AdamState(lr=lr)
     for name, p in params.items():
         state.m[name] = np.zeros_like(np.asarray(p, dtype=np.float64))
         state.v[name] = np.zeros_like(np.asarray(p, dtype=np.float64))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import _load_kind, save_params
-from .data import ScoredTrialSet, Trial, UtteranceSet, _write_lines, pair_index
+from .data import ScoredTrialSet, Trial, UtteranceSet, _labels, _write_lines, pair_index
 from .errors import (
     ArgumentError,
     BatchCompositionError,
@@ -173,18 +173,14 @@ def init_random(in_dim: int, lda_dim: int, out_dim: int, seed: int) -> NpldaPara
 # ---------------------------------------------------------------------------
 
 
-def embed(params: NpldaParams, X: np.ndarray) -> np.ndarray:
-    """Map raw embeddings through affine, length norm, affine."""
-    h1 = affine(X, params.W1, params.b1)
-    z = length_norm(h1)
-    return affine(z, params.W2, params.b2)
-
-
 def forward(params: NpldaParams, eta_e: np.ndarray, eta_t: np.ndarray):
-    """Scores for raw embedding pairs; symmetric in the two sides."""
-    a_e = embed(params, eta_e)
-    a_t = embed(params, eta_t)
-    return quadratic_score(a_e, a_t, params.p, params.q, params.k)
+    """Scores of row-aligned raw embedding pairs (a float for one pair); symmetric."""
+    eta_e = np.asarray(eta_e, dtype=np.float64)
+    if eta_e.shape != np.shape(eta_t):
+        raise ShapeError(f"pair shapes differ: {eta_e.shape} vs {np.shape(eta_t)}")
+    n = len(np.atleast_2d(eta_e))
+    scores, _ = _head_forward(params, np.vstack([eta_e, eta_t]), np.arange(n), n + np.arange(n))
+    return float(scores[0]) if eta_e.ndim == 1 else scores
 
 
 def score_trials(params: NpldaParams, trials: list[Trial], embeddings: UtteranceSet) -> ScoredTrialSet:
@@ -297,11 +293,9 @@ def batch_loss_and_grads(params: NpldaParams, batch: TrialBatch, cfg: LossConfig
     Each utterance in the batch is embedded once; trial-level gradients are
     scattered back onto the shared activations before the stack backward.
     """
-    lookup = batch.utterance_by_id()
-    ids, e_idx, t_idx = pair_index(batch.trials, lookup)
-    X = np.stack([lookup[u].payload.vector for u in ids])
-    labels = np.array([1.0 if t.is_target else 0.0 for t in batch.trials])
-    loss, grads, _ = stack_loss_and_grads(params, X, e_idx, t_idx, labels, cfg)
+    ids, e_idx, t_idx = pair_index(batch.trials, batch.utterances)
+    X = batch.utterances.embedding_matrix(ids)
+    loss, grads, _ = stack_loss_and_grads(params, X, e_idx, t_idx, _labels(batch.trials), cfg)
     return loss, grads
 
 

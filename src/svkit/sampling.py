@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NONTARGET, TARGET, Trial, Utterance, _write_lines
+from .data import NONTARGET, TARGET, Trial, Utterance, UtteranceSet, _labels, _write_lines
 from .errors import ArgumentError, SamplerError
 
 UTTS_PER_BATCH = 64
@@ -38,6 +38,9 @@ class SamplerConfig:
             raise ArgumentError("utts_per_batch must be even")
         if self.m_min < 2 or self.m_max < self.m_min:
             raise ArgumentError("need m_max >= m_min >= 2")
+        # every speaker of a batch needs an enroll/test pair of its utterances
+        if self.m_max > self.utts_per_batch / 2:
+            raise ArgumentError(f"m_max = {self.m_max} exceeds utts_per_batch / 2")
 
 
 @dataclass
@@ -48,17 +51,14 @@ class TrialBatch:
     pooled mixed batches.
     """
 
-    utterances: list[Utterance]
+    utterances: UtteranceSet
     trials: list[Trial]
     gender: str | None = None
     dataset_id: str | None = None
     tag: str = ""
 
     def n_targets(self) -> int:
-        return sum(1 for t in self.trials if t.is_target)
-
-    def utterance_by_id(self) -> dict[str, Utterance]:
-        return {u.id: u for u in self.utterances}
+        return int(_labels(self.trials).sum())
 
 
 def _speaker_pools(utterances) -> dict[tuple[str, str], dict[str, list[Utterance]]]:
@@ -81,7 +81,8 @@ def _allocate_counts(m: int, utts_per_batch: int, available: list[int]) -> list[
 
     Splits the pairs (so halves split cleanly) as evenly as possible, clamps
     each speaker to the pairs it has, then fills the excess into speakers
-    with room, in speaker order.
+    with room, in speaker order.  With m <= utts_per_batch / 2 speakers of
+    at least one pair each, every speaker keeps a pair.
     """
     pairs_total = utts_per_batch // 2
     capacity = [a // 2 for a in available]
@@ -97,8 +98,6 @@ def _allocate_counts(m: int, utts_per_batch: int, available: list[int]) -> list[
         take = min(c - pairs[i], excess)
         pairs[i] += take
         excess -= take
-    if min(pairs) < 1:
-        raise SamplerError(f"allocation left a speaker empty: pairs={pairs}")
     return [2 * p for p in pairs]
 
 
@@ -128,7 +127,7 @@ def _cross_product(key: tuple[str, str], by_spk: dict[str, list[Utterance]],
         for t in test
     ]
     gender, dataset = key
-    return TrialBatch(utterances, trials, gender, dataset,
+    return TrialBatch(UtteranceSet(utterances), trials, gender, dataset,
                       tag=f"{gender}/{dataset}/m{len(speakers)}/seed{seed}")
 
 
@@ -137,9 +136,10 @@ def sample_batch_algo2(
     m: int,
     seed: int,
     utts_per_batch: int = UTTS_PER_BATCH,
-    speakers: list[str] | None = None,
 ) -> TrialBatch:
     """One gender/dataset-homogeneous cross-product batch from m speakers."""
+    if m > utts_per_batch / 2:
+        raise ArgumentError(f"m = {m} exceeds utts_per_batch / 2")
     if not partition:
         raise SamplerError("empty partition")
     pools = _speaker_pools(partition)
@@ -148,19 +148,10 @@ def sample_batch_algo2(
     if len(pools) > 1:
         raise SamplerError(f"partition {name} mixes genders or datasets")
     usable = {s: us for s, us in pools[key].items() if len(us) >= 2}
+    if len(usable) < m:
+        raise SamplerError(f"partition {name} has {len(usable)} usable speakers, need {m}")
     rng = np.random.default_rng(seed)
-    if speakers is None:
-        if len(usable) < m:
-            raise SamplerError(
-                f"partition {name} has {len(usable)} usable speakers, need {m}"
-            )
-        speakers = list(rng.choice(sorted(usable), size=m, replace=False))
-    else:
-        if len(speakers) != m:
-            raise ArgumentError(f"expected {m} speakers, got {len(speakers)}")
-        for s in speakers:
-            if s not in usable:
-                raise SamplerError(f"speaker {s!r} unusable in partition {name}")
+    speakers = list(rng.choice(sorted(usable), size=m, replace=False))
     return _cross_product(key, usable, speakers, utts_per_batch, seed, rng)
 
 
@@ -276,26 +267,19 @@ def sample_trials_algo1(
         for us in pool.values():
             rng.shuffle(us)
         made = 0
-        # each pass makes one trial or raises: at most quotas[k] passes
+        # each pass makes one trial: quotas[k] passes
         while made < quotas[k]:
-            # nonempty: a quota of at most half the partition leaves >= 2 utterances
+            # a quota of at most half the partition leaves >= 2 utterances, so
+            # when the drawn label is impossible the other one is possible
             speakers = sorted(s for s, us in pool.items() if us)
             want_target = rng.random() < target_ratio
-            if want_target:
-                eligible = [s for s in speakers if len(pool[s]) >= 2]
-                if not eligible:
-                    raise SamplerError(
-                        f"partition {k} cannot produce more target trials ({made} made)"
-                    )
+            eligible = [s for s in speakers if len(pool[s]) >= 2]
+            if eligible and (want_target or len(speakers) < 2):
                 spk = eligible[int(rng.integers(len(eligible)))]
                 enroll = pool[spk].pop()
                 test = pool[spk].pop()
                 label = TARGET
             else:
-                if len(speakers) < 2:
-                    raise SamplerError(
-                        f"partition {k} cannot produce more non-target trials ({made} made)"
-                    )
                 se, st = rng.choice(len(speakers), size=2, replace=False)
                 enroll = pool[speakers[int(se)]].pop()
                 test = pool[speakers[int(st)]].pop()
@@ -313,7 +297,7 @@ def sample_trials_algo1(
         for _, e, t in chunk:
             utts.setdefault(e.id, e)
             utts.setdefault(t.id, t)
-        batches.append(TrialBatch(list(utts.values()), [tr for tr, _, _ in chunk],
+        batches.append(TrialBatch(UtteranceSet(list(utts.values())), [tr for tr, _, _ in chunk],
                                   tag=f"algo1/{start // batch_size}"))
     return batches
 

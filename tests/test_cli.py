@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +164,35 @@ class TestSimulate:
         # relative to a real model and the EER sits at chance
         assert np.std(scored.scores) < 0.5
         assert 0.35 <= metrics.eer(scored) <= 0.65
+
+
+class TestConfig:
+    @pytest.mark.parametrize("extra, override, named", [
+        ("", "sampler.m_maxx=4", "[sampler] m_maxx"),
+        ("\n[samplr]\nm_max = 4\n", "sampler.algo=2", "[samplr] m_max"),
+        ("", "sampler.m_max=four", "[sampler] m_max = 'four'"),
+    ], ids=["unknown-key", "unknown-section", "non-integer"])
+    def test_error_names_its_key(self, emb_workspace, tmp_path, capsys, extra, override, named):
+        root, _, out = emb_workspace
+        cfg = write_config(tmp_path / "exp.ini", EMB_CONFIG + extra)
+        code = run(["sample", "--config", cfg, "-O", override,
+                    "--data", str(out / "train.embeddings"), "--out", str(tmp_path / "b.txt")])
+        assert code == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "b.txt").exists()
+
+    def test_readme_config_runs(self, tmp_path):
+        readme = (Path(cli.__file__).parents[2] / "README.md").read_text()
+        cfg = write_config(tmp_path / "readme.ini", readme.split("```ini\n")[1].split("```")[0])
+        d = tmp_path / "data"
+        paths = ["-O", f"data.train_embeddings={d}/train.embeddings",
+                 "-O", f"data.dev_embeddings={d}/dev.embeddings",
+                 "-O", f"data.dev_trials={d}/dev.trials", "-O", "optimizer.epochs=1"]
+        assert run(["simulate", "--config", cfg, "--out", str(d)]) == 0
+        assert run(["train", "gplda", "--config", cfg, *paths,
+                    "--out", str(tmp_path / "m.gplda")]) == 0
+        assert run(["train", "nplda", "--config", cfg, *paths, "--init", str(tmp_path / "m.gplda"),
+                    "--out", str(tmp_path / "m.nplda")]) == 0
 
 
 @pytest.fixture(scope="module")

@@ -49,7 +49,7 @@ class TestTypes:
         with pytest.raises(MissingIdError):
             us["nope"]
         with pytest.raises(MissingIdError) as exc:
-            us.resolve([data.Trial("u1", "ghost")])
+            data.pair_index([data.Trial("u1", "ghost")], us)
         assert "ghost" in str(exc.value)
 
 

@@ -35,7 +35,7 @@ def tiny_batch(rng, T=9):
         data.Trial("f1", "f2", data.NONTARGET),
         data.Trial("f1", "f3", data.TARGET),
     ]
-    return sampling.TrialBatch(utts, trials)
+    return sampling.TrialBatch(data.UtteranceSet(utts), trials)
 
 
 class TestConfig:
@@ -113,23 +113,22 @@ class TestScoreTrialBatch:
         rng = np.random.default_rng(7)
         model = e2e.init_e2e(tiny_config(), seed=8)
         batch = tiny_batch(rng)
-        fwd = e2e.score_trial_batch(model, batch)
+        fwd = e2e.score_trials(model, batch.trials, batch.utterances)
         swapped = sampling.TrialBatch(
             batch.utterances,
             [data.Trial(t.test_id, t.enroll_id, t.label) for t in batch.trials],
         )
-        rev = e2e.score_trial_batch(model, swapped)
+        rev = e2e.score_trials(model, swapped.trials, swapped.utterances)
         assert np.allclose(fwd.scores, rev.scores, atol=1e-12)
 
     def test_factorization_consistency(self):
         rng = np.random.default_rng(9)
         model = e2e.init_e2e(tiny_config(), seed=10)
         batch = tiny_batch(rng)
-        scored = e2e.score_trial_batch(model, batch)
-        lookup = batch.utterance_by_id()
+        scored = e2e.score_trials(model, batch.trials, batch.utterances)
         for trial, s in zip(batch.trials, scored.scores):
-            emb_e = e2e.extract_embedding(model, lookup[trial.enroll_id].payload)
-            emb_t = e2e.extract_embedding(model, lookup[trial.test_id].payload)
+            emb_e = e2e.extract_embedding(model, batch.utterances[trial.enroll_id].payload)
+            emb_t = e2e.extract_embedding(model, batch.utterances[trial.test_id].payload)
             assert s == pytest.approx(nplda.forward(model.head, emb_e, emb_t), abs=1e-12)
 
     def test_trial_order_invariance(self):
@@ -138,8 +137,8 @@ class TestScoreTrialBatch:
         batch = tiny_batch(rng)
         rev = sampling.TrialBatch(batch.utterances, batch.trials[::-1])
         assert np.allclose(
-            e2e.score_trial_batch(model, batch).scores,
-            e2e.score_trial_batch(model, rev).scores[::-1],
+            e2e.score_trials(model, batch.trials, batch.utterances).scores,
+            e2e.score_trials(model, rev.trials, rev.utterances).scores[::-1],
         )
 
     def test_dangling_reference(self):
@@ -148,7 +147,7 @@ class TestScoreTrialBatch:
         batch = tiny_batch(rng)
         batch.trials.append(data.Trial("f0", "ghost", data.TARGET))
         with pytest.raises(MissingIdError) as exc:
-            e2e.score_trial_batch(model, batch)
+            e2e.score_trials(model, batch.trials, batch.utterances)
         assert "ghost" in str(exc.value)
 
     def test_only_referenced_utterances_embedded(self):
@@ -157,9 +156,10 @@ class TestScoreTrialBatch:
         model = e2e.init_e2e(tiny_config(), seed=13)
         batch = tiny_batch(rng)
         short = data.Utterance("short", "s0", "M", "d", data.FeatureMatrix(np.zeros((2, 3))))
-        utts = data.UtteranceSet(batch.utterances + [short])
+        utts = data.UtteranceSet(list(batch.utterances) + [short])
         scored = e2e.score_trials(model, batch.trials, utts)
-        assert np.array_equal(scored.scores, e2e.score_trial_batch(model, batch).scores)
+        assert np.array_equal(scored.scores,
+                              e2e.score_trials(model, batch.trials, batch.utterances).scores)
 
 
 class TestGradients:
@@ -266,8 +266,7 @@ class TestTraining:
         trials = [data.Trial("f0", "f4"), data.Trial("f1", "f5"), data.Trial("f2", "f6")]
         backend_scores = nplda.score_trials(head, trials, embs)
         combo = e2e.init_e2e(cfg, seed=24, head=head)
-        combo_batch = sampling.TrialBatch(list(utts), trials)
-        combo_scores = e2e.score_trial_batch(combo, combo_batch)
+        combo_scores = e2e.score_trials(combo, trials, data.UtteranceSet(utts))
         assert np.allclose(backend_scores.scores, combo_scores.scores, atol=1e-10)
 
     def test_head_dim_mismatch_rejected(self):

@@ -60,20 +60,20 @@ def brute_force_eer(scored):
 
 class TestBeta:
     def test_symmetric_point(self):
-        assert metrics.compute_beta(1, 1, 0.5) == 1.0
+        assert metrics.DcfWeights(1, 1, 0.5).beta == 1.0
 
     def test_hand_values(self):
-        assert abs(metrics.compute_beta(1, 1, 0.05) - 19.0) < 1e-12
-        assert abs(metrics.compute_beta(10, 1, 0.01) - 9.9) < 1e-12
+        assert abs(metrics.DcfWeights(1, 1, 0.05).beta - 19.0) < 1e-12
+        assert abs(metrics.DcfWeights(10, 1, 0.01).beta - 9.9) < 1e-12
 
     def test_default_is_99(self):
         assert abs(metrics.DcfWeights().beta - 99.0) < 1e-12
 
     def test_domain_checks(self):
         with pytest.raises(ArgumentError):
-            metrics.compute_beta(0, 1, 0.5)
+            metrics.DcfWeights(0, 1, 0.5).beta
         with pytest.raises(ArgumentError):
-            metrics.compute_beta(1, 1, 1.0)
+            metrics.DcfWeights(1, 1, 1.0).beta
 
 
 class TestDcf:
@@ -211,8 +211,8 @@ class TestErrorRateMonotonicity:
 class TestEvaluate:
     def test_report_fields(self):
         st = scored_from([2.0, 3.0], [-1.0, 0.0])
-        rep = metrics.evaluate(st, threshold=1.0)
+        rep = metrics.evaluate(st)
         assert rep.eer == 0.0
         assert rep.min_dcf == 0.0
-        assert rep.actual_dcf == 0.0
-        assert rep.min_dcf <= rep.actual_dcf + 1e-12
+        assert metrics.dcf(st, 1.0) == 0.0
+        assert rep.min_dcf <= metrics.dcf(st, 1.0) + 1e-12

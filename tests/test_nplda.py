@@ -39,7 +39,7 @@ def small_batch(rng, d=6, n_each=6):
         for j in range(n_each, 2 * n_each):
             label = data.TARGET if i % 3 == j % 3 else data.NONTARGET
             trials.append(data.Trial(f"u{i}", f"u{j}", label))
-    return sampling.TrialBatch(utts, trials)
+    return sampling.TrialBatch(data.UtteranceSet(utts), trials)
 
 
 class TestInitEquivalence:

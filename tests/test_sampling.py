@@ -85,6 +85,11 @@ class TestAlgo2Batch:
         with pytest.raises(SamplerError):
             sampling.sample_batch_algo2(make_utts(n_speakers=3), m=4, seed=7)
 
+    def test_m_above_half_batch_refused(self):
+        # 8 utterances give 4 enroll/test pairs, too few for 5 speakers
+        with pytest.raises(ArgumentError, match="m = 5"):
+            sampling.sample_batch_algo2(make_utts(), m=5, seed=7, utts_per_batch=8)
+
     def test_mixed_partition_rejected(self):
         utts = make_utts(genders=("M", "F"))
         with pytest.raises(SamplerError):
@@ -191,6 +196,20 @@ class TestAlgo1:
     def test_batch_size_validated(self):
         with pytest.raises(ArgumentError):
             sampling.sample_trials_algo1(make_utts(), n_trials=10, batch_size=100, seed=0)
+
+    @pytest.mark.parametrize("n_speakers, utts_per_speaker, n_trials",
+                             [(1, 8, 2), (2, 3, 3)])
+    def test_feasible_request_never_fails(self, n_speakers, utts_per_speaker, n_trials):
+        # one speaker has only target pairs, and 2 x 3 utterances run out of
+        # one label on some draws: the other label must be made instead
+        utts = make_utts(n_speakers=n_speakers, utts_per_speaker=utts_per_speaker)
+        speaker = {u.id: u.speaker_id for u in utts}
+        for seed in range(50):
+            batches = sampling.sample_trials_algo1(utts, n_trials, target_ratio=0.5, seed=seed)
+            trials = [t for b in batches for t in b.trials]
+            assert len(trials) == n_trials
+            for t in trials:
+                assert t.is_target == (speaker[t.enroll_id] == speaker[t.test_id])
 
 
 class TestPoolAndShuffle:

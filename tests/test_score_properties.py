@@ -1,0 +1,98 @@
+"""Properties of the three scorers and of the hard metrics, on random inputs."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from svkit import data, e2e, gplda, metrics, nplda  # noqa: E402
+
+SEEDS = st.integers(0, 2**31 - 1)
+
+
+def _random_gplda(rng, d):
+    B = rng.standard_normal((d, d))
+    C = rng.standard_normal((d, d))
+    chain = gplda.PreprocessChain(rng.standard_normal(d), rng.standard_normal((d, d)))
+    return gplda.make_model(B @ B.T, C @ C.T + np.eye(d), chain, 0.1 * rng.standard_normal(d))
+
+
+def _random_nplda(rng, d):
+    params = nplda.init_random(d, 3, 2, seed=int(rng.integers(2**31)))
+    params.p, params.q, params.k = rng.standard_normal(2), rng.standard_normal(2), 0.5
+    return params
+
+
+def _random_e2e(rng, d):
+    cfg = e2e.E2EConfig(
+        layers=(e2e.TdnnLayerSpec(d, 4, (-1, 0, 1)), e2e.TdnnLayerSpec(4, 4, (0,))),
+        embedding_dim=4, head_lda_dim=3, head_out_dim=3,
+    )
+    model = e2e.init_e2e(cfg, seed=int(rng.integers(2**31)))
+    model.head.p, model.head.q = rng.standard_normal(3), rng.standard_normal(3)
+    return model
+
+
+# model kind -> (random model, payload of one random utterance, scorer)
+SCORERS = {
+    "gplda": (_random_gplda, lambda rng, d: data.Embedding(rng.standard_normal(d)),
+              gplda.score_trials),
+    "nplda": (_random_nplda, lambda rng, d: data.Embedding(rng.standard_normal(d)),
+              nplda.score_trials),
+    "e2e": (_random_e2e, lambda rng, d: data.FeatureMatrix(rng.standard_normal((9, d))),
+            e2e.score_trials),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SCORERS))
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS, n_utts=st.integers(2, 6), n_trials=st.integers(1, 12))
+def test_scores_symmetric_in_enroll_and_test(kind, seed, n_utts, n_trials):
+    make_model, payload, score = SCORERS[kind]
+    rng = np.random.default_rng(seed)
+    d = 3
+    model = make_model(rng, d)
+    utts = data.UtteranceSet([data.Utterance(f"u{i}", f"s{i % 2}", "M", "d", payload(rng, d))
+                              for i in range(n_utts)])
+    pairs = rng.integers(n_utts, size=(n_trials, 2))
+    trials = [data.Trial(f"u{e}", f"u{t}") for e, t in pairs]
+    swapped = [data.Trial(t.test_id, t.enroll_id) for t in trials]
+    fwd, rev = score(model, trials, utts).scores, score(model, swapped, utts).scores
+    assert np.allclose(fwd, rev, rtol=0.0, atol=1e-10)
+
+
+def _scored(scores, labels):
+    trials = [data.Trial(f"e{i}", f"t{i}", data.TARGET if y else data.NONTARGET)
+              for i, y in enumerate(labels)]
+    return data.ScoredTrialSet(trials, np.asarray(scores, dtype=np.float64))
+
+
+# strictly increasing on the integer scores drawn below, in floating point too
+TRANSFORMS = [lambda s: 3.0 * s - 7.0, lambda s: np.exp(s / 4.0), lambda s: s**3, np.arctan]
+
+
+@settings(max_examples=100, deadline=None)
+@given(scores=st.lists(st.integers(-20, 20), min_size=2, max_size=40), data_=st.data(),
+       transform=st.sampled_from(TRANSFORMS))
+def test_metrics_invariant_under_increasing_transforms(scores, data_, transform):
+    # few distinct integers, so ties are common
+    n = len(scores)
+    labels = data_.draw(st.lists(st.booleans(), min_size=n, max_size=n)
+                        .filter(lambda ys: any(ys) and not all(ys)), label="labels")
+    before = _scored(scores, labels)
+    after = _scored(transform(np.array(scores, dtype=np.float64)), labels)
+    assert metrics.min_dcf(after)[0] == metrics.min_dcf(before)[0]
+    assert metrics.eer(after) == metrics.eer(before)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tgt=st.lists(st.integers(-10, 10), min_size=1, max_size=30),
+       non=st.lists(st.integers(-10, 10), min_size=1, max_size=30),
+       thresholds=st.lists(st.floats(-12, 12), min_size=1, max_size=30))
+def test_error_rates_monotone_in_threshold(tgt, non, thresholds):
+    p_miss, p_fa = metrics.error_rates(np.array(tgt, dtype=np.float64),
+                                       np.array(non, dtype=np.float64), np.sort(thresholds))
+    assert np.all(np.diff(p_miss) >= 0.0)
+    assert np.all(np.diff(p_fa) <= 0.0)
