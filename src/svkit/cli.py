@@ -23,7 +23,7 @@ from . import metrics as metrics_mod
 from . import nplda as nplda_mod
 from . import sampling
 from .checkpoint import load_params
-from .errors import ArgumentError, ConfigError, SvkitError
+from .errors import ArgumentError, ConfigError, LengthError, SvkitError
 from .nn import POOL_STDDEV, POOL_VARIANCE
 
 
@@ -141,8 +141,9 @@ class Config:
     def getfloat(self, section, key):
         return self._parse(float, section, key)
 
-    def _parse(self, kind, section, key):
-        value = self.get(section, key)
+    def _parse(self, kind, section, key, value=None):
+        """``value`` (by default the configured one) of ``[section] key`` as ``kind``."""
+        value = self.get(section, key) if value is None else value
         try:
             return kind(value)
         except ValueError:
@@ -180,15 +181,16 @@ def _loss_config(cfg: Config) -> nplda_mod.LossConfig:
 
 
 def _e2e_config(cfg: Config) -> e2e_mod.E2EConfig:
+    """The [e2e] model shape; a blank ``layers`` is the default five-layer stack."""
     text = cfg.get("e2e", "layers").strip()
-    if not text:
-        return e2e_mod.desk_config(cfg.getint("simulate", "feat_dim"))
-    layers = []
-    for _, fields in dm._records(enumerate(text.splitlines())):
-        if len(fields) < 3:
-            raise ConfigError(f"[e2e] layers line needs 'k_in k_out offsets...': "
-                              f"{' '.join(fields)!r}")
-        layers.append(e2e_mod._layer_spec(fields))
+    layers = e2e_mod.desk_config(cfg.getint("simulate", "feat_dim")).layers
+    if text:
+        layers = []
+        for _, fields in dm._records(enumerate(text.splitlines())):
+            if len(fields) < 3:
+                raise ConfigError(f"[e2e] layers line needs 'k_in k_out offsets...': "
+                                  f"{' '.join(fields)!r}")
+            layers.append(e2e_mod._layer_spec(fields))
     return e2e_mod.E2EConfig(
         layers=tuple(layers),
         pooling=cfg.get("e2e", "pooling"),
@@ -219,7 +221,9 @@ def _simulate_embeddings(cfg: Config, seed: int):
         noise_list = cfg.get("simulate", "noise_scales", default="").split()
         if len(noise_list) != len(phi_list):
             raise ConfigError("[simulate] phi_scales and noise_scales must have equal length")
-        tiers = [(float(p), float(n)) for p, n in zip(phi_list, noise_list)]
+        tiers = [(cfg._parse(float, "simulate", "phi_scales", p),
+                  cfg._parse(float, "simulate", "noise_scales", n))
+                 for p, n in zip(phi_list, noise_list)]
     else:
         tiers = [(cfg.getfloat("simulate", "phi_scale"),
                   cfg.getfloat("simulate", "noise_scale"))]
@@ -317,13 +321,16 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_dev(cfg: Config, kind: str):
-    dev_path = cfg.get("data", f"dev_{kind}", default="")
-    trials_path = cfg.get("data", "dev_trials", default="")
-    if not dev_path or not trials_path:
-        return None, None
-    reader = dm.read_embeddings if kind == "embeddings" else dm.read_features
-    return reader(dev_path), dm.read_trials(trials_path)
+# model kind -> ([data] files it reads, their reader, model from a checkpoint, writer, scorer)
+_KINDS = {
+    "gplda": ("embeddings", dm.read_embeddings, gplda_mod._from_checkpoint,
+              gplda_mod.save_model, gplda_mod.score_trials),
+    "nplda": ("embeddings", dm.read_embeddings,
+              lambda params, _: nplda_mod.NpldaParams.from_dict(params),
+              nplda_mod.save_nplda, nplda_mod.score_trials),
+    "e2e": ("features", dm.read_features, e2e_mod._from_checkpoint,
+            e2e_mod.save_e2e, e2e_mod.score_trials),
+}
 
 
 def _report_row(model: str, pooling: str, init: str, scored: dm.ScoredTrialSet,
@@ -355,82 +362,76 @@ def _sample_batches(cfg: Config, utts, seed: int) -> list[sampling.TrialBatch]:
     raise ConfigError(f"[sampler] algo must be 1 or 2, got {algo}")
 
 
+def _e2e_model(cfg: Config, args, seed: int) -> e2e_mod.E2EModel:
+    """A new model of the [e2e] shape or the --extractor of that shape, with any --init head."""
+    shape = _e2e_config(cfg)
+    head = nplda_mod.load_nplda(args.init) if args.init else None
+    if not args.extractor:
+        return e2e_mod.init_e2e(shape, seed=seed, head=head)
+    model = e2e_mod.load_e2e(args.extractor)
+    if head is not None:
+        model = e2e_mod._with_head(model, head)
+    differ = [k for k, v in vars(shape).items() if getattr(model.config, k) != v]
+    if differ:
+        raise ConfigError(f"{args.extractor}: extractor differs from the [e2e] config in "
+                          + ", ".join(differ))
+    return model
+
+
+def _check_frames(model: e2e_mod.E2EModel, utts, path) -> None:
+    """Fail unless every utterance read from ``path`` is long enough for the extractor."""
+    need = model.config.min_frames
+    for u in utts:
+        if u.payload.num_frames < need:
+            raise LengthError(f"{path}: utterance {u.id} has {u.payload.num_frames} frames, "
+                              f"extractor needs min_frames = {need}")
+
+
 def cmd_train(args) -> int:
     cfg = Config(args.config, args.override)
     if args.pooling is not None:
         cfg.set("e2e", "pooling", args.pooling)
+    if args.kind == "nplda" and not args.init:
+        raise ConfigError("train nplda requires --init <gplda checkpoint>")
     seed = args.seed if args.seed is not None else 0
     weights = _dcf_weights(cfg)
-    loss_cfg = _loss_config(cfg)
+    files, read, _, save, score = _KINDS[args.kind]
+    train_path = cfg.get("data", f"train_{files}")
+    dev_path = cfg.get("data", f"dev_{files}", default="")
+    trials_path = cfg.get("data", "dev_trials", default="")
+    train_set = read(train_path)
+    dev_set, dev_trials = ((read(dev_path), dm.read_trials(trials_path))
+                           if dev_path and trials_path else (None, None))
 
     if args.kind == "gplda":
-        train_set = dm.read_embeddings(cfg.get("data", "train_embeddings"))
         latent = cfg.get("gplda", "latent_dim").strip()
         chain = gplda_mod.fit_preprocess(train_set, target_dim=cfg.getint("gplda", "lda_dim"))
-        processed = chain.apply(train_set.embedding_matrix())
-        model = gplda_mod.em_fit(
-            (processed, train_set.speaker_labels()),
+        best = gplda_mod.em_fit(
+            (chain.apply(train_set.embedding_matrix()), train_set.speaker_labels()),
             latent_dim=cfg.getint("gplda", "latent_dim") if latent else None,
-            n_iters=cfg.getint("gplda", "em_iters"),
-            average_per_speaker=cfg.getbool("gplda", "average_per_speaker"),
-            chain=chain,
-        )
-        gplda_mod.save_model(model, args.out)
-        cfg.write_resolved(args.out)
-        dev_set, dev_trials = _load_dev(cfg, "embeddings")
-        if dev_set is not None:
-            scored = gplda_mod.score_trials(model, dev_trials, dev_set)
-            _report_row("gplda", "-", "-", scored, weights)
-        print(f"wrote {args.out}")
-        return 0
-
-    if args.kind == "nplda":
-        if not args.init:
-            raise ConfigError("train nplda requires --init <gplda checkpoint>")
-        train_set = dm.read_embeddings(cfg.get("data", "train_embeddings"))
-        gplda_model = gplda_mod.load_model(args.init)
-        dev_set, dev_trials = _load_dev(cfg, "embeddings")
-        dev_scored = None
-        if dev_set is not None:
-            dev_scored = gplda_mod.score_trials(gplda_model, dev_trials, dev_set)
-        model = nplda_mod.init_from_gplda(gplda_model, dev_scored, weights)
-        train, save, score = nplda_mod.train, nplda_mod.save_nplda, nplda_mod.score_trials
-        row = ("nplda", "-", os.path.basename(args.init))
-        extra = {}
-    elif args.kind == "e2e":
-        train_set = dm.read_features(cfg.get("data", "train_features"))
-        e2e_cfg = _e2e_config(cfg)
-        head = None
-        init_name = "random"
-        if args.init:
-            head = nplda_mod.load_nplda(args.init)
-            init_name = os.path.basename(args.init)
-        model = e2e_mod.init_e2e(e2e_cfg, seed=seed, head=head)
-        if args.extractor:
-            model = e2e_mod.load_e2e(args.extractor)
-            if head is not None:
-                model.head = head.copy()
-            init_name = os.path.basename(args.extractor)
-        dev_set, dev_trials = _load_dev(cfg, "features")
-        train, save, score = e2e_mod.train_e2e, e2e_mod.save_e2e, e2e_mod.score_trials
-        row = ("e2e", e2e_cfg.pooling, init_name)
-        extra = {"freeze_prefix": cfg.getint("e2e", "freeze_prefix")}
+            n_iters=cfg.getint("gplda", "em_iters"), chain=chain,
+            average_per_speaker=cfg.getbool("gplda", "average_per_speaker"))
+        row = ("gplda", "-", "-")
     else:
-        raise ConfigError(f"unknown training kind {args.kind!r}")
-
-    # both discriminative trainers take the dev trials and their data positionally
-    best, trace = train(
-        model,
-        _sample_batches(cfg, train_set, seed),
-        loss_cfg,
-        cfg.getint("optimizer", "epochs"),
-        seed,
-        dev_trials,
-        dev_set,
-        lr=cfg.getfloat("optimizer", "lr"),
-        patience=cfg.getint("optimizer", "patience"),
-        **extra,
-    )
+        if args.kind == "nplda":
+            gplda_model = gplda_mod.load_model(args.init)
+            dev_scored = (None if dev_set is None
+                          else gplda_mod.score_trials(gplda_model, dev_trials, dev_set))
+            model = nplda_mod.init_from_gplda(gplda_model, dev_scored, weights)
+            train, extra = nplda_mod.train, {}
+            row = ("nplda", "-", os.path.basename(args.init))
+        else:
+            model = _e2e_model(cfg, args, seed)
+            for path, utts in ((train_path, train_set), (dev_path, dev_set or ())):
+                _check_frames(model, utts, path)
+            train, extra = e2e_mod.train_e2e, {"freeze_prefix": cfg.getint("e2e", "freeze_prefix")}
+            row = ("e2e", model.config.pooling,
+                   os.path.basename(args.extractor or args.init or "random"))
+        # both discriminative trainers take the dev trials and their data positionally
+        best, trace = train(model, _sample_batches(cfg, train_set, seed), _loss_config(cfg),
+                            cfg.getint("optimizer", "epochs"), seed, dev_trials, dev_set,
+                            lr=cfg.getfloat("optimizer", "lr"),
+                            patience=cfg.getint("optimizer", "patience"), **extra)
     save(best, args.out)
     cfg.write_resolved(args.out)
     if args.trace:
@@ -449,18 +450,15 @@ def cmd_train(args) -> int:
 def cmd_score(args) -> int:
     params, meta = load_params(args.model)
     kind = meta.get("kind", "")
-    # checkpoint kind -> (model from (params, meta), scorer, reader of the --data file)
-    kinds = {
-        "gplda": (gplda_mod._from_checkpoint, gplda_mod.score_trials, dm.read_embeddings),
-        "nplda": (lambda params, _: nplda_mod.NpldaParams.from_dict(params),
-                  nplda_mod.score_trials, dm.read_embeddings),
-        "e2e": (e2e_mod._from_checkpoint, e2e_mod.score_trials, dm.read_features),
-    }
-    if kind not in kinds:
+    if kind not in _KINDS:
         raise ConfigError(f"{args.model}: unknown checkpoint kind {kind!r}")
-    model, score, read = kinds[kind]
+    _, read, from_checkpoint, _, score = _KINDS[kind]
     trials = dm.read_trials(args.trials)
-    scored = score(model(params, meta), trials, read(args.data))
+    model = from_checkpoint(params, meta)
+    utts = read(args.data)
+    if kind == "e2e":
+        _check_frames(model, utts, args.data)
+    scored = score(model, trials, utts)
     dm.write_scores(scored, args.out)
     print(f"wrote {args.out} ({len(scored)} trials)")
     return 0
@@ -554,14 +552,19 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("train", parents=[common], help="train a model stage")
-    p.add_argument("kind", choices=["gplda", "nplda", "e2e"])
-    p.add_argument("--out", required=True, help="checkpoint path")
-    p.add_argument("--init", help="initialization checkpoint (gplda for nplda, nplda for e2e)")
-    p.add_argument("--extractor", help="pretrained e2e extractor checkpoint")
-    p.add_argument("--trace", help="CSV training trace path")
-    p.add_argument("--pooling", choices=[POOL_STDDEV, POOL_VARIANCE])
-    p.set_defaults(func=cmd_train)
+    p = sub.add_parser("train", help="train a model stage")
+    p.set_defaults(func=cmd_train, init=None, extractor=None, trace=None, pooling=None)
+    # each kind takes only the flags it uses
+    kinds = p.add_subparsers(dest="kind", required=True)
+    for kind in _KINDS:
+        k = kinds.add_parser(kind, parents=[common], help=f"train a {kind} checkpoint")
+        k.add_argument("--out", required=True, help="checkpoint path")
+        if kind != "gplda":
+            k.add_argument("--init", help="gplda checkpoint for nplda, nplda head for e2e")
+            k.add_argument("--trace", help="CSV training trace path")
+        if kind == "e2e":
+            k.add_argument("--extractor", help="pretrained e2e extractor checkpoint")
+            k.add_argument("--pooling", choices=[POOL_STDDEV, POOL_VARIANCE])
 
     p = sub.add_parser("score", help="score a trial list with a checkpoint")
     p.add_argument("--model", required=True)

@@ -191,15 +191,6 @@ class UtteranceSet:
     def __contains__(self, utt_id: str) -> bool:
         return utt_id in self._by_id
 
-    def ids(self) -> list[str]:
-        return [u.id for u in self.utterances]
-
-    def speakers(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for u in self.utterances:
-            seen.setdefault(u.speaker_id, None)
-        return list(seen)
-
     def embedding_matrix(self, ids: list[str] | None = None) -> np.ndarray:
         """Stack embedding payloads into an (n, D) matrix."""
         utts = self.utterances if ids is None else [self[i] for i in ids]

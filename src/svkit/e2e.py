@@ -72,6 +72,9 @@ class E2EConfig:
             raise ArgumentError("config needs at least one TDNN layer")
         if self.pooling not in (POOL_STDDEV, POOL_VARIANCE):
             raise ArgumentError(f"unknown pooling mode {self.pooling!r}")
+        if not self.head_out_dim <= self.head_lda_dim <= self.embedding_dim:
+            raise ArgumentError("need head_out_dim <= head_lda_dim <= embedding_dim, got "
+                                f"{self.head_out_dim}, {self.head_lda_dim}, {self.embedding_dim}")
         for a, b in zip(self.layers, self.layers[1:]):
             if a.out_dim != b.in_dim:
                 raise ArgumentError(
@@ -183,15 +186,18 @@ def init_e2e(cfg: E2EConfig, seed: int, head: NpldaParams | None = None) -> E2EM
     emb_W = rng.standard_normal((cfg.embedding_dim, pooled)) * np.sqrt(1.0 / pooled)
     emb_b = np.zeros(cfg.embedding_dim)
     if head is None:
-        head = nplda.init_random(
-            cfg.embedding_dim, cfg.head_lda_dim, cfg.head_out_dim,
-            seed=int(rng.integers(2**31)),
-        )
-    elif head.in_dim != cfg.embedding_dim:
-        raise ArgumentError(
-            f"head expects dim {head.in_dim}, extractor emits {cfg.embedding_dim}"
-        )
-    return E2EModel(cfg, tdnn_W, tdnn_b, emb_W, emb_b, head.copy())
+        head = nplda.init_random(cfg.embedding_dim, cfg.head_lda_dim, cfg.head_out_dim,
+                                 seed=int(rng.integers(2**31)))
+    return _with_head(E2EModel(cfg, tdnn_W, tdnn_b, emb_W, emb_b, head), head)
+
+
+def _with_head(model: E2EModel, head: NpldaParams) -> E2EModel:
+    """``model`` scoring with a copy of ``head``, which must take its embeddings."""
+    if head.in_dim != model.config.embedding_dim:
+        raise ArgumentError(f"head expects dim {head.in_dim}, "
+                            f"extractor emits {model.config.embedding_dim}")
+    model.head = head.copy()
+    return model
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,17 @@ class TestSimulate:
             trials = data.read_trials(tmp_path / "out" / "dev.trials")
             assert len({(t.enroll_id, t.test_id) for t in trials}) == 12
 
+    @pytest.mark.parametrize("phi, noise, named", [
+        ("1.0 x", "1.0 1.0", "[simulate] phi_scales = 'x'"),
+        ("1.0 2.0", "1.0 1e", "[simulate] noise_scales = '1e'"),
+    ], ids=["phi", "noise"])
+    def test_bad_tier_scale_names_its_key(self, tmp_path, capsys, phi, noise, named):
+        tiers = f"phi_scales = {phi}\nnoise_scales = {noise}\n\n[gplda]"
+        cfg = write_config(tmp_path / "tiers.ini", EMB_CONFIG.replace("[gplda]", tiers))
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "o" / "train.embeddings").exists()
+
     def test_zero_subspace_scores_near_constant(self, tmp_path):
         cfg = write_config(
             tmp_path / "flat.ini",
@@ -371,6 +382,35 @@ class TestNpldaAndChain:
         assert outs[0] == outs[1]
 
 
+class TestTrainPipeline:
+    @pytest.mark.parametrize("kind, flag", [
+        ("gplda", "--trace"), ("gplda", "--init"), ("gplda", "--extractor"),
+        ("gplda", "--pooling"), ("nplda", "--extractor"), ("nplda", "--pooling"),
+    ])
+    def test_flag_of_another_kind_refused(self, emb_workspace, tmp_path, kind, flag):
+        root, cfg, out = emb_workspace
+        value = "variance" if flag == "--pooling" else str(tmp_path / "g.csv")
+        with pytest.raises(SystemExit) as exc:
+            run(["train", kind, "--config", cfg,
+                 "-O", f"data.train_embeddings={out}/train.embeddings",
+                 flag, value, "--out", str(tmp_path / "m")])
+        assert exc.value.code == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_gplda_missing_dev_file_writes_nothing(self, emb_workspace, tmp_path, capsys):
+        root, cfg, out = emb_workspace
+        code = run([
+            "train", "gplda", "--config", cfg,
+            "-O", f"data.train_embeddings={out}/train.embeddings",
+            "-O", f"data.dev_embeddings={tmp_path}/missing.embeddings",
+            "-O", f"data.dev_trials={out}/dev.trials",
+            "--out", str(tmp_path / "m.gplda"),
+        ])
+        assert code == 1
+        assert "missing.embeddings" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 @pytest.fixture(scope="module")
 def feat_workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("featwork")
@@ -458,6 +498,119 @@ class TestE2ECli:
             else:
                 assert np.array_equal(value, trained[name])
         assert not np.array_equal(trained["head.W1"], head["W1"])
+
+
+def _with_short_utterance(src, dst, frames):
+    """The feature file ``src`` plus one utterance ``short`` of ``frames`` frames, at ``dst``."""
+    utts = list(data.read_features(src))
+    u = utts[0]
+    utts.append(data.Utterance("short", u.speaker_id, u.gender, u.dataset_id,
+                               data.FeatureMatrix(np.ones((frames, u.payload.dim)))))
+    data.write_features(utts, dst)
+    return str(dst)
+
+
+class TestE2EModelBuilt:
+    """The e2e model is the [e2e] config, or an --extractor of that shape, and
+    every utterance fits it."""
+
+    BLANK_LAYERS = FEAT_CONFIG.split("[e2e]")[0]
+
+    def _train(self, cfg, out, ck, *extra):
+        return run(["train", "e2e", "--config", cfg, "--seed", "4",
+                    "-O", f"data.train_features={out}/train.features",
+                    "-O", "optimizer.epochs=1", *extra, "--out", str(ck)])
+
+    @pytest.mark.parametrize("extra, pooling, dims", [
+        (["-O", "e2e.pooling=variance", "-O", "e2e.embedding_dim=10",
+          "-O", "e2e.head_lda_dim=7", "-O", "e2e.head_out_dim=5"], "variance", (10, 7, 5)),
+        (["--pooling", "variance"], "variance", (16, 12, 8)),
+        ([], "stddev", (16, 12, 8)),
+    ], ids=["overrides", "pooling-flag", "defaults"])
+    def test_blank_layers_take_the_e2e_keys(self, feat_workspace, tmp_path, extra, pooling,
+                                            dims):
+        root, _, out = feat_workspace
+        cfg = write_config(tmp_path / "blank.ini", self.BLANK_LAYERS)
+        ck = tmp_path / "m.e2e"
+        assert self._train(cfg, out, ck, *extra) == 0
+        model = e2e.load_e2e(ck)
+        assert model.config.layers == e2e.desk_config(4).layers
+        assert model.config.pooling == pooling
+        assert (model.config.embedding_dim, model.config.head_lda_dim,
+                model.config.head_out_dim) == dims
+        assert model.head.W1.shape == (dims[1], dims[0])
+        assert model.head.W2.shape == (dims[2], dims[1])
+
+    def test_head_dims_must_not_grow(self, feat_workspace, tmp_path, capsys):
+        root, _, out = feat_workspace
+        cfg = write_config(tmp_path / "blank.ini", self.BLANK_LAYERS)
+        assert self._train(cfg, out, tmp_path / "m.e2e", "-O", "e2e.embedding_dim=10") == 1
+        assert "head_lda_dim <= embedding_dim, got 8, 12, 10" in capsys.readouterr().err
+        assert not (tmp_path / "m.e2e").exists()
+
+    @pytest.fixture(scope="class")
+    def extractor(self, feat_workspace, tmp_path_factory):
+        root, cfg, out = feat_workspace
+        ck = tmp_path_factory.mktemp("extractor") / "extractor.e2e"
+        assert self._train(cfg, out, ck) == 0
+        return ck
+
+    def test_extractor_checks_the_head(self, feat_workspace, extractor, tmp_path, capsys,
+                                       monkeypatch):
+        # the [e2e] config says 20, the extractor emits 6: the head is checked against the
+        # extractor it will sit on, before any training step
+        root, cfg, out = feat_workspace
+        head_path = tmp_path / "head.nplda"
+        nplda.save_nplda(nplda.init_random(20, 5, 4, seed=9), head_path)
+        monkeypatch.setattr(e2e, "batch_loss_and_grads", None)
+        code = self._train(cfg, out, tmp_path / "m.e2e", "-O", "e2e.embedding_dim=20",
+                           "--extractor", str(extractor), "--init", str(head_path))
+        assert code == 1
+        assert "head expects dim 20, extractor emits 6" in capsys.readouterr().err
+        assert not (tmp_path / "m.e2e").exists()
+
+    @pytest.mark.parametrize("extra, named", [
+        (["--pooling", "variance"], "pooling"),
+        (["-O", "e2e.embedding_dim=5"], "embedding_dim"),
+        (["-O", "e2e.layers=4 8 -2 0 2\n8 8 0"], "layers"),
+    ], ids=["pooling", "embedding-dim", "layers"])
+    def test_extractor_must_match_the_config(self, feat_workspace, extractor, tmp_path, capsys,
+                                             extra, named):
+        root, cfg, out = feat_workspace
+        code = self._train(cfg, out, tmp_path / "m.e2e", "--extractor", str(extractor), *extra)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{extractor}: extractor differs from the [e2e] config in {named}" in err
+        assert not (tmp_path / "m.e2e").exists()
+
+    @pytest.mark.parametrize("which", ["train", "dev"])
+    def test_short_utterance_fails_before_training(self, feat_workspace, tmp_path, capsys,
+                                                   monkeypatch, which):
+        # FEAT_CONFIG's extractor needs 2 + 2 = 4 frames
+        root, cfg, out = feat_workspace
+        short = _with_short_utterance(out / f"{which}.features", tmp_path / "short.features", 3)
+        monkeypatch.setattr(e2e, "batch_loss_and_grads", None)
+        code = run(["train", "e2e", "--config", cfg,
+                    "-O", f"data.train_features={out}/train.features",
+                    "-O", f"data.dev_features={out}/dev.features",
+                    "-O", f"data.dev_trials={out}/dev.trials",
+                    "-O", f"data.{which}_features={short}",
+                    "--out", str(tmp_path / "m.e2e")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{short}: utterance short has 3 frames, extractor needs min_frames = 4" in err
+        assert not (tmp_path / "m.e2e").exists()
+
+    def test_short_utterance_fails_before_scoring(self, feat_workspace, extractor, tmp_path,
+                                                  capsys):
+        root, cfg, out = feat_workspace
+        short = _with_short_utterance(out / "dev.features", tmp_path / "short.features", 3)
+        code = run(["score", "--model", str(extractor), "--trials", str(out / "dev.trials"),
+                    "--data", short, "--out", str(tmp_path / "s.txt")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{short}: utterance short has 3 frames, extractor needs min_frames = 4" in err
+        assert not (tmp_path / "s.txt").exists()
 
 
 class TestSampleAndMem:

@@ -314,7 +314,7 @@ class TestChunking:
             data.Utterance("uB", "s2", "F", "d2", data.FeatureMatrix(rng.standard_normal((180, 2)))),
         ]
         out = data.chunk_collection(utts, chunk_len=200, min_keep=50)
-        assert out.ids() == ["uA-c0", "uA-c1", "uA-c2", "uB-c0"]
+        assert [u.id for u in out] == ["uA-c0", "uA-c1", "uA-c2", "uB-c0"]
         by_id = {u.id: u for u in out}
         assert by_id["uA-c2"].payload.num_frames == 50
         assert by_id["uB-c0"].speaker_id == "s2"
@@ -336,7 +336,7 @@ class TestSynthEmbeddings:
     def test_record_count_and_sharing(self):
         utts = data.synth_plda_embeddings(np.eye(3), np.eye(3), 4, 6, seed=0)
         assert len(utts) == 24
-        assert len(utts.speakers()) == 4
+        assert len({u.speaker_id for u in utts}) == 4
 
     def test_zero_subspace_moments(self):
         # with no speaker subspace the sample covariance approaches sigma and

@@ -18,7 +18,7 @@ def fitted():
     proc = chain.apply(train.embedding_matrix())
     model = gplda.em_fit((proc, train.speaker_labels()), chain=chain)
     spk = {u.id: u.speaker_id for u in dev}
-    ids = dev.ids()
+    ids = [u.id for u in dev]
     trng = np.random.default_rng(103)
     trials = []
     for _ in range(600):
