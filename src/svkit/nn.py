@@ -81,31 +81,36 @@ def length_norm_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _context_index(T: int, offsets: np.ndarray) -> np.ndarray:
-    span = int(offsets.max() - offsets.min())
-    T_out = T - span
-    if T_out < 1:
-        raise LengthError(f"input has {T} frames, context span {span} needs more")
-    return np.arange(T_out)[:, None] + (offsets - offsets.min())[None, :]
-
-
 def _tdnn_pre(X: np.ndarray, offsets: np.ndarray, W: np.ndarray, b: np.ndarray):
-    T, k_in = X.shape
+    """Spliced context frames and pre-activations of X, (T, k) or (N, T, k).
+
+    Each offset contributes one time slice of X; the slices are concatenated
+    on the feature axis and fed to one GEMM over every frame of the stack.
+    """
+    if X.ndim not in (2, 3):
+        raise ShapeError(f"tdnn input must be (T, k) or (N, T, k), got {X.shape}")
+    T, k_in = X.shape[-2:]
     C = offsets.shape[0]
     if W.ndim != 2 or W.shape[1] != C * k_in:
         raise ShapeError(f"W has shape {W.shape}, expected (k_out, {C * k_in})")
     if b.shape != (W.shape[0],):
         raise ShapeError(f"b has shape {b.shape}, expected ({W.shape[0]},)")
-    idx = _context_index(T, offsets)
-    X_cat = X[idx].reshape(idx.shape[0], C * k_in)
-    return idx, X_cat, X_cat @ W.T + b
+    span = int(offsets.max() - offsets.min())
+    T_out = T - span
+    if T_out < 1:
+        raise LengthError(f"input has {T} frames, context span {span} needs more")
+    starts = offsets - offsets.min()
+    X_cat = np.concatenate([X[..., s:s + T_out, :] for s in starts], axis=-1)
+    pre = X_cat.reshape(-1, C * k_in) @ W.T + b
+    return starts, X_cat, pre.reshape(*X.shape[:-2], T_out, W.shape[0])
 
 
 def tdnn_layer(X: np.ndarray, offsets, W: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Valid-frame temporal convolution followed by ReLU.
 
     Output frame j is ReLU(W concat(X[j + o - min(o)] for o in offsets) + b),
-    so an input of T frames yields T - (max(o) - min(o)) output frames.
+    so an input of T frames yields T - (max(o) - min(o)) output frames.  X is
+    one utterance (T, k) or a stack of N equal-length ones (N, T, k).
     """
     X = np.asarray(X, dtype=np.float64)
     offsets = np.asarray(offsets, dtype=np.int64)
@@ -114,17 +119,22 @@ def tdnn_layer(X: np.ndarray, offsets, W: np.ndarray, b: np.ndarray) -> np.ndarr
 
 
 def tdnn_layer_backward(dY: np.ndarray, X: np.ndarray, offsets, W: np.ndarray, b: np.ndarray):
-    """Gradients (dX, dW, db); recomputes the ReLU mask from the inputs."""
+    """Gradients (dX, dW, db); recomputes the ReLU mask from the inputs.
+
+    For a stack X of shape (N, T, k), dW and db are summed over its utterances.
+    """
     X = np.asarray(X, dtype=np.float64)
     offsets = np.asarray(offsets, dtype=np.int64)
-    idx, X_cat, pre = _tdnn_pre(X, offsets, W, b)
-    dpre = np.asarray(dY, dtype=np.float64) * (pre > 0.0)
-    dW = dpre.T @ X_cat
+    starts, X_cat, pre = _tdnn_pre(X, offsets, W, b)
+    dpre = (np.asarray(dY, dtype=np.float64) * (pre > 0.0)).reshape(-1, W.shape[0])
+    dW = dpre.T @ X_cat.reshape(dpre.shape[0], -1)
     db = dpre.sum(axis=0)
-    dX_cat = dpre @ W
+    T_out, k_in = pre.shape[-2], X.shape[-1]
+    dX_cat = (dpre @ W).reshape(*pre.shape[:-1], len(starts), k_in)
     dX = np.zeros_like(X)
-    C = offsets.shape[0]
-    np.add.at(dX, idx, dX_cat.reshape(idx.shape[0], C, X.shape[1]))
+    # each context offset reads one time slice of X, so it adds back into that slice
+    for c, s in enumerate(starts):
+        dX[..., s:s + T_out, :] += dX_cat[..., c, :]
     return dX, dW, db
 
 
@@ -134,31 +144,31 @@ def tdnn_layer_backward(dY: np.ndarray, X: np.ndarray, offsets, W: np.ndarray, b
 
 
 def stats_pool(X: np.ndarray, mode: str = POOL_STDDEV) -> np.ndarray:
-    """Concatenate the per-dimension mean with the stddev or variance.
+    """Concatenate the per-dimension mean with the stddev or variance over time.
 
+    X is (T, k), pooled to 2k values, or (N, T, k), pooled to (N, 2k).
     Population (divide-by-T) statistics; the stddev is sqrt(var + EPS_VAR)
     so constant inputs stay differentiable.
     """
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 2:
-        raise LengthError(f"stats_pool needs a T x k matrix with T >= 2, got {X.shape}")
+    if X.ndim not in (2, 3) or X.shape[-2] < 2:
+        raise LengthError(f"stats_pool needs T x k matrices with T >= 2, got {X.shape}")
     if mode not in (POOL_STDDEV, POOL_VARIANCE):
         raise ArgumentError(f"unknown pooling mode {mode!r}")
-    mean = X.mean(axis=0)
-    var = np.mean((X - mean) ** 2, axis=0)
+    mean = X.mean(axis=-2)
+    var = np.mean((X - mean[..., None, :]) ** 2, axis=-2)
     second = np.sqrt(var + EPS_VAR) if mode == POOL_STDDEV else var
-    return np.concatenate([mean, second])
+    return np.concatenate([mean, second], axis=-1)
 
 
 def stats_pool_backward(dout: np.ndarray, X: np.ndarray, mode: str = POOL_STDDEV) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     dout = np.asarray(dout, dtype=np.float64)
-    T, k = X.shape
-    dmean, dsecond = dout[:k], dout[k:]
-    mean = X.mean(axis=0)
-    centered = X - mean
+    T, k = X.shape[-2:]
+    dmean, dsecond = dout[..., None, :k], dout[..., None, k:]
+    centered = X - X.mean(axis=-2, keepdims=True)
     if mode == POOL_STDDEV:
-        std = np.sqrt(np.mean(centered**2, axis=0) + EPS_VAR)
+        std = np.sqrt(np.mean(centered**2, axis=-2, keepdims=True) + EPS_VAR)
         dvar = dsecond / (2.0 * std)
     else:
         dvar = dsecond

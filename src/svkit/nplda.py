@@ -153,6 +153,9 @@ def init_random(in_dim: int, lda_dim: int, out_dim: int, seed: int) -> NpldaPara
     inner-product-like similarity, so initial scores have unit-order spread
     and the warped cost sees usable gradients from the first step.
     """
+    if not out_dim <= lda_dim <= in_dim:
+        raise ArgumentError("need out_dim <= lda_dim <= in_dim, got "
+                            f"{out_dim}, {lda_dim}, {in_dim}")
     rng = np.random.default_rng(seed)
     W1 = np.linalg.qr(rng.standard_normal((in_dim, lda_dim)))[0].T
     W2 = np.linalg.qr(rng.standard_normal((lda_dim, out_dim)))[0].T

@@ -456,9 +456,10 @@ class TestE2ECli:
         assert len(data.read_scores(score_file)) == 600
 
     def test_e2e_head_init_from_nplda_checkpoint(self, feat_workspace, tmp_path):
-        # the [e2e] embedding dim is 6, so the head checkpoint must be 6-in
+        # the [e2e] embedding dim is 6, so the head checkpoint must be 6-in; its inner
+        # dims 3/2, not the [e2e] 5/4, are what the checkpoint describes
         root, cfg, out = feat_workspace
-        head = nplda.init_random(6, 5, 4, seed=9)
+        head = nplda.init_random(6, 3, 2, seed=9)
         head_path = tmp_path / "head.nplda"
         nplda.save_nplda(head, head_path)
         ck = tmp_path / "warm.e2e"
@@ -469,7 +470,9 @@ class TestE2ECli:
             "--out", str(ck),
         ]) == 0
         model = e2e.load_e2e(ck)
-        assert model.head.W1.shape == (5, 6)
+        assert model.head.W1.shape == (3, 6)
+        _, meta = load_params(ck)
+        assert (meta["head_lda_dim"], meta["head_out_dim"]) == ("3", "2")
 
     def test_extractor_warm_start(self, feat_workspace, tmp_path):
         # zero epochs: the extractor checkpoint passes through, with --init replacing its head

@@ -27,6 +27,22 @@ def feature_utts(rng, n=4, T=9, d=3):
     ]
 
 
+def mixed_length_utts(rng):
+    """Eleven utterances of 9 frames (more than one stack) and three of 12, interleaved."""
+    return [
+        data.Utterance(f"g{i:02d}", f"s{i % 3}", "M", "d",
+                       data.FeatureMatrix(rng.standard_normal((12 if i % 5 == 2 else 9, 3))))
+        for i in range(14)
+    ]
+
+
+def mixed_length_batch(rng):
+    trials = [data.Trial(f"g{i:02d}", f"g{(5 * i + 3) % 14:02d}",
+                         data.TARGET if i % 3 == (5 * i + 3) % 14 % 3 else data.NONTARGET)
+              for i in range(14)]
+    return sampling.TrialBatch(data.UtteranceSet(mixed_length_utts(rng)), trials)
+
+
 def tiny_batch(rng, T=9):
     utts = feature_utts(rng, 4, T)
     trials = [
@@ -141,6 +157,22 @@ class TestScoreTrialBatch:
             e2e.score_trials(model, rev.trials, rev.utterances).scores[::-1],
         )
 
+    def test_stacks_match_per_utterance_extraction(self):
+        rng = np.random.default_rng(40)
+        model = e2e.init_e2e(tiny_config(), seed=41)
+        batch = mixed_length_batch(rng)
+        utts = batch.utterances
+        ids, _, _ = data.pair_index(batch.trials, utts)
+        X, _ = e2e._embed(model, [utts[u].payload.frames for u in ids], with_cache=False)
+        for row, u in enumerate(ids):
+            np.testing.assert_allclose(X[row], e2e.extract_embedding(model, utts[u].payload),
+                                       rtol=1e-12, atol=1e-12)
+        scored = e2e.score_trials(model, batch.trials, utts)
+        for trial, s in zip(batch.trials, scored.scores):
+            emb_e = e2e.extract_embedding(model, utts[trial.enroll_id].payload)
+            emb_t = e2e.extract_embedding(model, utts[trial.test_id].payload)
+            assert s == pytest.approx(nplda.forward(model.head, emb_e, emb_t), abs=1e-12)
+
     def test_dangling_reference(self):
         rng = np.random.default_rng(11)
         model = e2e.init_e2e(tiny_config(), seed=12)
@@ -195,9 +227,8 @@ class TestGradients:
         assert checked == 5
         assert worst < 1e-4
 
-    def test_loss_gradcheck_small(self):
-        rng = np.random.default_rng(13)
-        batch = tiny_batch(rng)
+    @staticmethod
+    def loss_gradcheck(batch):
         model = e2e.init_e2e(tiny_config(), seed=3)
         cfg = nplda.LossConfig(alpha=4.0)
         names = list(model.to_dict().keys())
@@ -208,7 +239,14 @@ class TestGradients:
             return loss, [grads[n] for n in names]
 
         vals = [np.array(v, dtype=np.float64) for v in model.to_dict().values()]
-        assert nn.grad_check(f, vals) < 1e-3
+        return nn.grad_check(f, vals)
+
+    def test_loss_gradcheck_small(self):
+        assert self.loss_gradcheck(tiny_batch(np.random.default_rng(13))) < 1e-3
+
+    def test_loss_gradcheck_mixed_lengths(self):
+        # three stacks (8 + 3 utterances of 9 frames, 3 of 12) add into one gradient
+        assert self.loss_gradcheck(mixed_length_batch(np.random.default_rng(13))) < 1e-3
 
 
 class TestTraining:

@@ -162,6 +162,59 @@ class TestStatsPool:
         assert nn.grad_check(f, [X]) < GRAD_TOL
 
 
+class TestStackedUtterances:
+    """An (N, T, k) stack gives what N calls on its (T, k) utterances give."""
+
+    N = 5
+
+    def assert_close(self, a, b):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("offsets", [(0,), (-1, 0, 1), (-2, 0, 2)])
+    def test_tdnn_layer(self, offsets):
+        rng = rand(30)
+        X = rng.standard_normal((self.N, 9, 3))
+        W, b = rng.standard_normal((4, 3 * len(offsets))), rng.standard_normal(4)
+        Y = nn.tdnn_layer(X, offsets, W, b)
+        dY = rng.standard_normal(Y.shape)
+        dX, dW, db = nn.tdnn_layer_backward(dY, X, offsets, W, b)
+        per = [nn.tdnn_layer_backward(dY[n], X[n], offsets, W, b) for n in range(self.N)]
+        for n in range(self.N):
+            self.assert_close(Y[n], nn.tdnn_layer(X[n], offsets, W, b))
+            self.assert_close(dX[n], per[n][0])
+        self.assert_close(dW, sum(g[1] for g in per))
+        self.assert_close(db, sum(g[2] for g in per))
+
+    @pytest.mark.parametrize("mode", ["stddev", "variance"])
+    def test_stats_pool(self, mode):
+        rng = rand(31)
+        X = rng.standard_normal((self.N, 7, 3))
+        pooled = nn.stats_pool(X, mode)
+        dout = rng.standard_normal(pooled.shape)
+        dX = nn.stats_pool_backward(dout, X, mode)
+        for n in range(self.N):
+            self.assert_close(pooled[n], nn.stats_pool(X[n], mode))
+            self.assert_close(dX[n], nn.stats_pool_backward(dout[n], X[n], mode))
+
+    def test_gradients(self):
+        rng = rand(32)
+        offsets = [-2, 0, 1]
+        X = rng.standard_normal((3, 7, 2))
+        W, b = rng.standard_normal((3, 6)), rng.standard_normal(3)
+        w_td = rng.standard_normal(nn.tdnn_layer(X, offsets, W, b).shape)
+        w_sp = rng.standard_normal((3, 4))
+
+        def f_tdnn(X, W, b):
+            Y = nn.tdnn_layer(X, offsets, W, b)
+            return float(np.sum(w_td * Y)), nn.tdnn_layer_backward(w_td, X, offsets, W, b)
+
+        def f_pool(X):
+            return float(np.sum(w_sp * nn.stats_pool(X))), [nn.stats_pool_backward(w_sp, X)]
+
+        assert nn.grad_check(f_tdnn, [X, W, b]) < GRAD_TOL
+        assert nn.grad_check(f_pool, [X]) < GRAD_TOL
+
+
 class TestQuadraticScore:
     def test_zero_form_returns_constant(self):
         rng = rand(6)

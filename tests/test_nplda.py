@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from svkit import data, e2e, gplda, metrics, nn, nplda, sampling
-from svkit.errors import BatchCompositionError, NumericalError, StateError
+from svkit.errors import ArgumentError, BatchCompositionError, NumericalError, StateError
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +117,13 @@ class TestForward:
         params = nplda.init_random(5, 4, 3, seed=2)
         e, t = rng.standard_normal(5), rng.standard_normal(5)
         assert nplda.forward(params, e, t) == pytest.approx(nplda.forward(params, t, e), abs=1e-12)
+
+
+    @pytest.mark.parametrize("dims", [(10, 12, 8), (10, 4, 5)], ids=["lda-gt-in", "out-gt-lda"])
+    def test_init_random_refuses_growing_dims(self, dims):
+        with pytest.raises(ArgumentError) as exc:
+            nplda.init_random(*dims, seed=0)
+        assert f"got {dims[2]}, {dims[1]}, {dims[0]}" in str(exc.value)
 
 
 class TestSoftDcfLoss:
