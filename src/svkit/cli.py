@@ -112,7 +112,13 @@ class Config:
         if path is not None:
             if not os.path.exists(path):
                 raise ConfigError(f"config file not found: {path}")
-            self.parser.read(path)
+            try:
+                self.parser.read(path)
+            except configparser.Error as exc:
+                # ParsingError lists every bad line; the other read errors name their one
+                line = getattr(exc, "lineno", None) or exc.errors[0][0]
+                reason = str(exc).splitlines()[0].split("]: ", 1)[-1]
+                raise ConfigError(f"{path}:{line}: {reason}") from None
         for item in overrides or []:
             if "=" not in item or "." not in item.split("=", 1)[0]:
                 raise ConfigError(f"override must look like section.key=value: {item!r}")
@@ -150,7 +156,11 @@ class Config:
             raise ConfigError(f"[{section}] {key} = {value!r}: expected {kind.__name__}") from None
 
     def getbool(self, section, key):
-        return self.get(section, key).strip().lower() in ("1", "true", "yes", "on")
+        value = self.get(section, key)
+        if value.strip().lower() not in self.parser.BOOLEAN_STATES:
+            raise ConfigError(f"[{section}] {key} = {value!r}: expected 1/yes/true/on or "
+                              "0/no/false/off")
+        return self.parser.BOOLEAN_STATES[value.strip().lower()]
 
     def set(self, section, key, value):
         if section not in self.parser:
@@ -466,8 +476,9 @@ def cmd_score(args) -> int:
 
 def cmd_evaluate(args) -> int:
     key = {(t.enroll_id, t.test_id): t for t in dm.read_trials(args.key)}
-    if any(t.label is None for t in key.values()):
-        raise ArgumentError(f"{args.key}: every key trial needs a label")
+    bad = next((t for t in key.values() if t.label is None), None)
+    if bad is not None:
+        raise ArgumentError(f"{args.key}: trial {bad.enroll_id} {bad.test_id} has no label")
     rows = dm.read_scores(args.scores)
     unkeyed = [(e, t) for e, t, _ in rows if (e, t) not in key]
     if unkeyed:
@@ -476,14 +487,9 @@ def cmd_evaluate(args) -> int:
         )
     scored = dm.ScoredTrialSet([key[(e, t)] for e, t, _ in rows],
                                np.array([s for _, _, s in rows]))
-    weights = metrics_mod.DcfWeights(args.c_miss, args.c_fa, args.p_target)
-    if args.extra_p_target:
-        all_w = [weights] + [
-            metrics_mod.DcfWeights(args.c_miss, args.c_fa, p) for p in args.extra_p_target
-        ]
-        avg = metrics_mod.min_dcf_multi(scored, all_w)
-    else:
-        avg = None
+    all_w = [metrics_mod.DcfWeights(args.c_miss, args.c_fa, p)
+             for p in [args.p_target, *args.extra_p_target]]
+    weights = all_w[0]
     report = metrics_mod.evaluate(scored, weights)
     print(f"eer_percent {100.0 * report.eer:.4f}")
     print(f"min_dcf {report.min_dcf:.6f}")
@@ -492,8 +498,8 @@ def cmd_evaluate(args) -> int:
         f"weights c_miss={weights.c_miss} c_fa={weights.c_fa} "
         f"p_target={weights.p_target} beta={weights.beta:.4f}"
     )
-    if avg is not None:
-        print(f"min_dcf_avg {avg:.6f}")
+    if args.extra_p_target:
+        print(f"min_dcf_avg {metrics_mod.min_dcf_multi(scored, all_w):.6f}")
     dm._write_lines(args.csv or (args.scores + ".metrics.csv"), [
         "metric,value\n",
         f"eer,{report.eer:.8f}\n",

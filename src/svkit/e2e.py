@@ -24,7 +24,7 @@ import numpy as np
 
 from . import nplda
 from .checkpoint import _load_kind, save_params
-from .data import FeatureMatrix, ScoredTrialSet, Trial, UtteranceSet, _labels, pair_index
+from .data import FeatureMatrix, ScoredTrialSet, Trial, UtteranceSet, pair_index
 from .errors import ArgumentError, LengthError
 from .nn import (
     POOL_STDDEV,
@@ -90,20 +90,14 @@ class E2EConfig:
 
 
 def desk_config(feat_dim: int = 8) -> E2EConfig:
-    """Small five-layer default; trainable and gradient-checkable on a CPU."""
-    return E2EConfig(
-        layers=(
-            TdnnLayerSpec(feat_dim, 16, (-1, 0, 1)),
-            TdnnLayerSpec(16, 16, (0,)),
-            TdnnLayerSpec(16, 16, (-1, 0, 1)),
-            TdnnLayerSpec(16, 16, (0,)),
-            TdnnLayerSpec(16, 24, (0,)),
-        ),
-        pooling=POOL_STDDEV,
-        embedding_dim=16,
-        head_lda_dim=12,
-        head_out_dim=8,
-    )
+    """Five small TDNN layers under E2EConfig's defaults; trainable and checkable on a CPU."""
+    return E2EConfig(layers=(
+        TdnnLayerSpec(feat_dim, 16, (-1, 0, 1)),
+        TdnnLayerSpec(16, 16, (0,)),
+        TdnnLayerSpec(16, 16, (-1, 0, 1)),
+        TdnnLayerSpec(16, 16, (0,)),
+        TdnnLayerSpec(16, 24, (0,)),
+    ))
 
 
 def full_size_config(feat_dim: int = 30) -> E2EConfig:
@@ -125,7 +119,6 @@ def full_size_config(feat_dim: int = 30) -> E2EConfig:
             TdnnLayerSpec(128, 128, (0,)),
             TdnnLayerSpec(128, 128, (0,)),
         ),
-        pooling=POOL_STDDEV,
         embedding_dim=128,
         head_lda_dim=64,
         head_out_dim=32,
@@ -326,12 +319,9 @@ def min_abs_preactivation(model: E2EModel, frames) -> float:
 
 def batch_loss_and_grads(model: E2EModel, batch: TrialBatch, cfg: LossConfig):
     """Soft-DCF loss and gradients for the whole model on one batch."""
-    ids, e_idx, t_idx = pair_index(batch.trials, batch.utterances)
-    frames = [_frames_of(batch.utterances[u].payload) for u in ids]
+    frames = [_frames_of(batch.utterances[u].payload) for u in batch.ids]
     X, stacks = _embed(model, frames, with_cache=True)
-    loss, head_grads, dX = nplda.stack_loss_and_grads(
-        model.head, X, e_idx, t_idx, _labels(batch.trials), cfg
-    )
+    loss, head_grads, dX = nplda.stack_loss_and_grads(model.head, X, batch, cfg)
     return loss, _model_grads(model, head_grads, stacks, dX)
 
 
@@ -372,8 +362,6 @@ def train_e2e(
 class MemoryEstimate:
     total_bytes: int
     per_layer: list[tuple[str, int]]
-    n_trials: int
-    frames: int
 
     def gigabytes(self) -> float:
         return self.total_bytes / 1e9
@@ -383,14 +371,9 @@ def estimate_memory(n_trials: int, frames: int, cfg: E2EConfig) -> MemoryEstimat
     """Activation memory for one training batch: 2 N T sum(k_i c_i) * 16."""
     if n_trials < 0 or frames < 0:
         raise ArgumentError("n_trials and frames must be non-negative")
-    per_layer = []
-    total = 0
-    for i, layer in enumerate(cfg.layers):
-        b = 2 * n_trials * frames * layer.in_dim * layer.context_width * 16
-        per_layer.append((f"tdnn{i}", b))
-        total += b
-    return MemoryEstimate(total_bytes=total, per_layer=per_layer,
-                          n_trials=n_trials, frames=frames)
+    per_layer = [(f"tdnn{i}", 2 * n_trials * frames * layer.in_dim * layer.context_width * 16)
+                 for i, layer in enumerate(cfg.layers)]
+    return MemoryEstimate(total_bytes=sum(b for _, b in per_layer), per_layer=per_layer)
 
 
 # ---------------------------------------------------------------------------

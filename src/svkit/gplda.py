@@ -239,15 +239,13 @@ def em_fit(
     regime deliberately.
     """
     X, speakers = _as_matrix(embeddings)
-    n, d = X.shape
+    d = X.shape[1]
     q = d if latent_dim is None else int(latent_dim)
     if q < 1 or q > d:
         raise ArgumentError(f"latent_dim must be in [1, {d}], got {q}")
     if average_per_speaker:
-        counts0, means0, _ = _speaker_stats(X, speakers)
-        X = means0
+        _, X, _ = _speaker_stats(X, speakers)
         speakers = [f"s{i}" for i in range(X.shape[0])]
-        n = X.shape[0]
 
     mu = X.mean(axis=0)
     counts, means, S_dev = _speaker_stats(X, speakers)

@@ -3,7 +3,9 @@
 The decision rule is uniform everywhere: a trial is accepted iff its score
 is >= the threshold.  Threshold sweeps therefore place candidates at the
 midpoints between consecutive distinct scores (plus sentinels beyond both
-ends) so no candidate ever ties a score.
+ends) so no candidate ever ties a score.  Each call sweeps the thresholds
+once; ``evaluate`` and ``min_dcf_multi`` share one sweep between their
+metrics.  ``dcf`` and ``error_rates`` are the independent oracle.
 """
 
 from __future__ import annotations
@@ -49,13 +51,12 @@ class EvalReport:
     threshold: float
 
 
-def _split_scores(scored: ScoredTrialSet):
-    labels = scored.labels()
-    tgt = scored.scores[labels == 1.0]
-    non = scored.scores[labels == 0.0]
-    if tgt.size == 0 or non.size == 0:
+def _targets(scored: ScoredTrialSet) -> np.ndarray:
+    """Mask of the target trials; both classes must be present."""
+    is_tgt = scored.labels() == 1.0
+    if is_tgt.all() or not is_tgt.any():
         raise MetricError("trial set must contain both targets and non-targets")
-    return tgt, non
+    return is_tgt
 
 
 def error_rates(tgt: np.ndarray, non: np.ndarray, thresholds: np.ndarray):
@@ -71,17 +72,42 @@ def error_rates(tgt: np.ndarray, non: np.ndarray, thresholds: np.ndarray):
 
 def dcf(scored: ScoredTrialSet, threshold: float, weights: DcfWeights = DcfWeights()) -> float:
     """Normalized detection cost P_Miss + beta * P_FA at one threshold."""
-    tgt, non = _split_scores(scored)
-    p_miss, p_fa = error_rates(tgt, non, np.array([threshold]))
+    is_tgt = _targets(scored)
+    p_miss, p_fa = error_rates(scored.scores[is_tgt], scored.scores[~is_tgt],
+                               np.array([threshold]))
     return float(p_miss[0] + weights.beta * p_fa[0])
 
 
-def _candidate_thresholds(scores: np.ndarray) -> np.ndarray:
-    distinct = np.unique(scores)
-    mids = (distinct[:-1] + distinct[1:]) / 2.0
-    below = distinct[0] - 1.0
-    above = distinct[-1] + 1.0
-    return np.concatenate([[below], mids, [above]])
+def _candidate_thresholds(distinct: np.ndarray) -> np.ndarray:
+    """Midpoints of the sorted distinct scores and sentinels 1.0 beyond both ends.
+
+    Where rounding puts one on or past a score (neighbouring floats, or a
+    magnitude that absorbs the 1.0), the nearest float that separates replaces it.
+    """
+    with np.errstate(over="ignore"):  # midpoints and next floats past the largest are inf
+        cands = np.concatenate([[distinct[0] - 1.0], (distinct[:-1] + distinct[1:]) / 2.0,
+                                [distinct[-1] + 1.0]])
+        np.maximum(cands[1:], np.nextafter(distinct, np.inf), out=cands[1:])
+    return np.minimum(cands, np.append(distinct, np.inf), out=cands)
+
+
+def _sweep(scored: ScoredTrialSet):
+    """Every candidate threshold with its P_Miss and P_FA, from one read of the labels.
+
+    The candidates separate the distinct scores, so P_Miss - P_FA is -1 at the
+    first (accept all), +1 at the last (reject all), and rises at every step:
+    each distinct score belongs to a target or a non-target.
+    """
+    is_tgt = _targets(scored)
+    cands = _candidate_thresholds(np.unique(scored.scores))
+    return cands, *error_rates(scored.scores[is_tgt], scored.scores[~is_tgt], cands)
+
+
+def _min_cost(sweep, weights: DcfWeights):
+    cands, p_miss, p_fa = sweep
+    costs = p_miss + weights.beta * p_fa
+    best = int(np.argmin(costs))
+    return float(costs[best]), float(cands[best])
 
 
 def min_dcf(scored: ScoredTrialSet, weights: DcfWeights = DcfWeights()):
@@ -91,12 +117,7 @@ def min_dcf(scored: ScoredTrialSet, weights: DcfWeights = DcfWeights()):
     below the lowest score (accept everything) and one above the highest
     (reject everything).
     """
-    tgt, non = _split_scores(scored)
-    cands = _candidate_thresholds(scored.scores)
-    p_miss, p_fa = error_rates(tgt, non, cands)
-    costs = p_miss + weights.beta * p_fa
-    best = int(np.argmin(costs))
-    return float(costs[best]), float(cands[best])
+    return _min_cost(_sweep(scored), weights)
 
 
 def min_dcf_multi(scored: ScoredTrialSet, weights_list) -> float:
@@ -104,32 +125,27 @@ def min_dcf_multi(scored: ScoredTrialSet, weights_list) -> float:
     weights_list = list(weights_list)
     if not weights_list:
         raise ArgumentError("weights_list must be non-empty")
-    return float(np.mean([min_dcf(scored, w)[0] for w in weights_list]))
+    sweep = _sweep(scored)
+    return float(np.mean([_min_cost(sweep, w)[0] for w in weights_list]))
+
+
+def _eer(sweep) -> float:
+    _, p_miss, p_fa = sweep
+    # P_Miss - P_FA rises from -1 to +1 (see _sweep): it turns positive at one step
+    idx = int(np.searchsorted(p_miss - p_fa > 0, True))
+    m0, f0 = p_miss[idx - 1], p_fa[idx - 1]
+    m1, f1 = p_miss[idx], p_fa[idx]
+    t = (f0 - m0) / ((m1 - m0) - (f1 - f0))
+    return float(m0 + t * (m1 - m0))
 
 
 def eer(scored: ScoredTrialSet) -> float:
     """Equal error rate with linear interpolation of the ROC staircase."""
-    tgt, non = _split_scores(scored)
-    cands = _candidate_thresholds(scored.scores)
-    p_miss, p_fa = error_rates(tgt, non, cands)
-    diff = p_miss - p_fa
-    # P_Miss is non-decreasing and P_FA non-increasing in the threshold, so
-    # diff crosses zero exactly once (possibly along a flat segment).
-    idx = int(np.searchsorted(diff > 0, True))
-    if idx == 0:
-        return float((p_miss[0] + p_fa[0]) / 2.0)
-    if idx == len(diff):
-        return float((p_miss[-1] + p_fa[-1]) / 2.0)
-    m0, f0 = p_miss[idx - 1], p_fa[idx - 1]
-    m1, f1 = p_miss[idx], p_fa[idx]
-    denom = (m1 - m0) - (f1 - f0)
-    if denom == 0.0:
-        return float((m0 + f0) / 2.0)
-    t = (f0 - m0) / denom
-    return float(m0 + t * (m1 - m0))
+    return _eer(_sweep(scored))
 
 
 def evaluate(scored: ScoredTrialSet, weights: DcfWeights = DcfWeights()) -> EvalReport:
-    """EER, and minDCF with its threshold."""
-    cost, theta = min_dcf(scored, weights)
-    return EvalReport(eer=eer(scored), min_dcf=cost, threshold=theta)
+    """EER, and minDCF with its threshold, from one sweep."""
+    sweep = _sweep(scored)
+    cost, theta = _min_cost(sweep, weights)
+    return EvalReport(eer=_eer(sweep), min_dcf=cost, threshold=theta)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import _load_kind, save_params
-from .data import ScoredTrialSet, Trial, UtteranceSet, _labels, _write_lines, pair_index
+from .data import ScoredTrialSet, Trial, UtteranceSet, _write_lines, pair_index
 from .errors import (
     ArgumentError,
     BatchCompositionError,
@@ -28,7 +28,7 @@ from .errors import (
     StateError,
 )
 from .gplda import PldaModel
-from .metrics import DcfWeights, eer, min_dcf
+from .metrics import DcfWeights, evaluate, min_dcf
 from .nn import (
     adam_init,
     adam_step,
@@ -268,23 +268,16 @@ def _head_backward(params: NpldaParams, cache, dscores: np.ndarray):
     return grads, dX
 
 
-def stack_loss_and_grads(
-    params: NpldaParams,
-    X: np.ndarray,
-    e_idx: np.ndarray,
-    t_idx: np.ndarray,
-    labels: np.ndarray,
-    cfg: LossConfig,
-):
-    """Soft-DCF loss over trials indexing shared input rows.
+def stack_loss_and_grads(params: NpldaParams, X: np.ndarray, batch: TrialBatch, cfg: LossConfig):
+    """Soft-DCF loss over a batch's trials, given one input row per id of ``batch.ids``.
 
-    X holds one raw embedding per unique utterance; e_idx/t_idx gather the
-    two sides of each trial.  Returns (loss, parameter grads, dX) where dX
-    is the gradient with respect to the input rows, which lets a front-end
-    extractor continue the backward pass.
+    X holds one raw embedding per unique utterance; the batch's e_idx/t_idx
+    gather the two sides of each trial.  Returns (loss, parameter grads, dX)
+    where dX is the gradient with respect to the input rows, which lets a
+    front-end extractor continue the backward pass.
     """
-    scores, cache = _head_forward(params, X, e_idx, t_idx)
-    loss, dscores, dtheta = soft_dcf_loss(scores, labels, params.theta, cfg)
+    scores, cache = _head_forward(params, X, batch.e_idx, batch.t_idx)
+    loss, dscores, dtheta = soft_dcf_loss(scores, batch.labels, params.theta, cfg)
     grads, dX = _head_backward(params, cache, dscores)
     grads["theta"] = np.float64(dtheta if cfg.learn_theta else 0.0)
     return loss, grads, dX
@@ -296,9 +289,8 @@ def batch_loss_and_grads(params: NpldaParams, batch: TrialBatch, cfg: LossConfig
     Each utterance in the batch is embedded once; trial-level gradients are
     scattered back onto the shared activations before the stack backward.
     """
-    ids, e_idx, t_idx = pair_index(batch.trials, batch.utterances)
-    X = batch.utterances.embedding_matrix(ids)
-    loss, grads, _ = stack_loss_and_grads(params, X, e_idx, t_idx, _labels(batch.trials), cfg)
+    X = batch.utterances.embedding_matrix(batch.ids)
+    loss, grads, _ = stack_loss_and_grads(params, X, batch, cfg)
     return loss, grads
 
 
@@ -354,16 +346,9 @@ def _fit(model, batches, cfg: LossConfig, epochs: int, seed: int, lr: float,
     current = model.copy()
     state = adam_init(current.to_dict(), lr=lr)
 
-    def dev_metrics(m):
-        scored = dev_score(m)
-        cost, _ = min_dcf(scored, cfg.weights)
-        return eer(scored), cost
-
     best = current.copy()
-    best_cost = np.inf
+    best_cost = np.inf if dev_score is None else evaluate(dev_score(current), cfg.weights).min_dcf
     since_improved = 0
-    if dev_score is not None:
-        _, best_cost = dev_metrics(current)
     trace: list[TraceRow] = []
     for epoch in range(1, epochs + 1):
         order = rng.permutation(len(batches))
@@ -380,7 +365,8 @@ def _fit(model, batches, cfg: LossConfig, epochs: int, seed: int, lr: float,
             current = current.from_dict(adam_step(current.to_dict(), grads, state))
             losses.append(loss)
         if dev_score is not None:
-            dev_e, dev_c = dev_metrics(current)
+            report = evaluate(dev_score(current), cfg.weights)
+            dev_e, dev_c = report.eer, report.min_dcf
             if dev_c < best_cost:
                 best_cost = dev_c
                 best = current.copy()

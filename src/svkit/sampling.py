@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NONTARGET, TARGET, Trial, Utterance, UtteranceSet, _labels, _write_lines
+from .data import (NONTARGET, TARGET, Trial, Utterance, UtteranceSet, _labels, _write_lines,
+                   pair_index)
 from .errors import ArgumentError, SamplerError
 
 UTTS_PER_BATCH = 64
@@ -45,10 +46,14 @@ class SamplerConfig:
 
 @dataclass
 class TrialBatch:
-    """Trials plus the utterances they reference.
+    """Trials plus the utterances they reference, indexed once when built.
 
-    gender/dataset_id are set for single-partition batches and None for
-    pooled mixed batches.
+    ``ids`` are the sorted ids the trials reference, ``e_idx``/``t_idx``
+    each trial's two rows among them and ``labels`` the 0/1 label vector:
+    every training step reads these.  A batch that cannot be indexed (an
+    unlabelled trial, or a trial naming an utterance the batch lacks)
+    cannot be built.  gender/dataset_id are set for single-partition
+    batches and None for pooled mixed batches.
     """
 
     utterances: UtteranceSet
@@ -57,8 +62,12 @@ class TrialBatch:
     dataset_id: str | None = None
     tag: str = ""
 
+    def __post_init__(self):
+        self.ids, self.e_idx, self.t_idx = pair_index(self.trials, self.utterances)
+        self.labels = _labels(self.trials)
+
     def n_targets(self) -> int:
-        return int(_labels(self.trials).sum())
+        return int(self.labels.sum())
 
 
 def _speaker_pools(utterances) -> dict[tuple[str, str], dict[str, list[Utterance]]]:

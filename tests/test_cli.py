@@ -206,6 +206,57 @@ class TestConfig:
                     "--out", str(tmp_path / "m.nplda")]) == 0
 
 
+class TestLoadTimeErrors:
+    @pytest.mark.parametrize("files, argv, named", [
+        ({"exp.ini": FEAT_CONFIG.replace("    8 8 0\n", "    8 8\n")},
+         "estimate-mem --config {tmp}/exp.ini -N 2 -T 50", "[e2e] layers"),
+        ({"exp.ini": EMB_CONFIG.replace("[gplda]", "phi_scales = 1 2\nnoise_scales = 1\n[gplda]")},
+         "simulate --config {tmp}/exp.ini --out {tmp}/o", "[simulate] phi_scales"),
+        ({"exp.ini": EMB_CONFIG},
+         "simulate --config {tmp}/exp.ini -O simulate.kind=audio --out {tmp}/o",
+         "[simulate] kind"),
+        ({"exp.ini": EMB_CONFIG},
+         "simulate --config {tmp}/exp.ini -O simulate.split_genders=ture --out {tmp}/o",
+         "[simulate] split_genders = 'ture'"),
+        ({"exp.ini": EMB_CONFIG}, "sample --config {tmp}/exp.ini -O sampler.algo=3 "
+         "--data {data}/train.embeddings --out {tmp}/b.txt", "[sampler] algo"),
+        ({"s.scores": "a b 1.0\nc d 0.5\n", "key.trials": "a b target\nc d\n"},
+         "evaluate --scores {tmp}/s.scores --key {tmp}/key.trials",
+         "{tmp}/key.trials: trial c d has no label"),
+        ({"exp.ini": "seed = 5\n[simulate]\n"},
+         "simulate --config {tmp}/exp.ini --out {tmp}/o", "{tmp}/exp.ini:1: "),
+        ({"exp.ini": "[simulate]\nseed = 5\n\nseed = 6\n"},
+         "simulate --config {tmp}/exp.ini --out {tmp}/o", "{tmp}/exp.ini:4: "),
+    ], ids=["e2e-layer-fields", "tier-lengths", "simulate-kind", "boolean-word", "sampler-algo",
+            "unlabelled-key", "no-section-header", "option-set-twice"])
+    def test_error_names_its_key_or_line(self, emb_workspace, tmp_path, capsys, files, argv,
+                                         named):
+        fill = {"tmp": tmp_path, "data": emb_workspace[2]}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        assert run(argv.format(**fill).split()) == 1
+        assert named.format(**fill) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("word, value", [("1", True), ("Yes", True), ("TRUE", True),
+                                             ("on", True), ("0", False), ("No", False),
+                                             ("false", False), ("OFF", False)])
+    def test_boolean_words(self, word, value):
+        cfg = cli.Config(None, [f"loss.learn_theta={word}"])
+        assert cfg.getbool("loss", "learn_theta") is value
+
+    def test_misspelt_learn_theta_is_refused(self, trained_gplda, emb_workspace, tmp_path,
+                                             capsys):
+        _, cfg, out = emb_workspace
+        code = run([
+            "train", "nplda", "--config", cfg, "-O", "loss.learn_theta=ture",
+            "-O", f"data.train_embeddings={out}/train.embeddings",
+            "--init", str(trained_gplda), "--out", str(tmp_path / "model.nplda"),
+        ])
+        assert code == 1
+        assert "[loss] learn_theta = 'ture'" in capsys.readouterr().err
+        assert not (tmp_path / "model.nplda").exists()
+
+
 @pytest.fixture(scope="module")
 def trained_gplda(emb_workspace, tmp_path_factory):
     root, cfg, out = emb_workspace

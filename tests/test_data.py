@@ -232,6 +232,28 @@ class TestTextLayer:
             READERS[fmt](path)
         assert exc.value.line_no == line_no
 
+    @pytest.mark.parametrize("fmt, text, line_no", [
+        ("checkpoint", "svkit-params v1\nmeta kind\nend\n", 2),
+        ("checkpoint", "svkit-params v1\nweights W 1 2\n1 2\nend\n", 2),
+        ("checkpoint", "svkit-params v1\nparam W\nend\n", 2),
+        ("checkpoint", "svkit-params v1\nparam W 2 2 x\n1 2\n3 4\nend\n", 2),
+        ("checkpoint", "svkit-params v1\nparam W 2 2\n1 2\nend\n", 2),
+        ("embeddings", "u1 s1 M d 1 2\nu2 s2 F d\n", 2),
+        ("features", "u1 s1 M d 1 2\n1 2\nu2 s2 F d 1\n3 4\n", 3),
+        ("features", "u1 s1 M d one 2\n1 2\n", 1),
+        ("features", "u1 s1 M d 1 2\n1 2\nu2 s2 F d 1 3\n3 4 5\n", 3),
+        ("trials", "a b target\nc d target extra\n", 2),
+        ("scores", "a b 1.5\nc d\n", 2),
+    ], ids=["meta-without-value", "unknown-record", "param-without-ndim", "non-integer-dims",
+            "wrong-dim-count", "embedding-fields", "feature-header-fields",
+            "feature-non-integer-length", "feature-dim-changes", "trial-fields", "score-fields"])
+    def test_malformed_record_names_its_file_and_line(self, tmp_path, fmt, text, line_no):
+        path = tmp_path / fmt
+        path.write_text(text)
+        with pytest.raises((ParseError, DimensionError)) as exc:
+            {**READERS, "trials": data.read_trials}[fmt](path)
+        assert str(exc.value).startswith(f"{path}:{line_no}: ")
+
     def test_failed_write_leaves_target_intact(self, tmp_path):
         path = tmp_path / "scores.txt"
         path.write_bytes(b"a b 1.5\n")
@@ -249,6 +271,28 @@ class TestTextLayer:
         src = Path(data.__file__).parent
         assert _code_sites(src, _formats_17g) == {("data.py", "_fmt")}
         assert _code_sites(src, _opens_for_writing) == {("data.py", "_write_lines")}
+
+
+def _calls(name):
+    return lambda node: (isinstance(node, ast.Call)
+                         and getattr(node.func, "id", getattr(node.func, "attr", None)) == name)
+
+
+class TestOneDerivation:
+    def test_batches_are_indexed_once(self):
+        # training steps read the index and labels a TrialBatch built; only
+        # the three scorers index trial lists of their own
+        src = Path(data.__file__).parent
+        outside = {site for site in _code_sites(src, _calls("pair_index")) if site[0] != "data.py"}
+        assert outside == {("sampling.py", "__post_init__"), ("gplda.py", "score_trials"),
+                           ("nplda.py", "score_trials"), ("e2e.py", "score_trials")}
+        assert {site for site in _code_sites(src, _calls("_labels"))
+                if site[0] != "data.py"} == {("sampling.py", "__post_init__")}
+
+    def test_metrics_sweep_once(self):
+        src = Path(data.__file__).parent
+        assert {site for site in _code_sites(src, _calls("_candidate_thresholds"))
+                if site[0] == "metrics.py"} == {("metrics.py", "_sweep")}
 
 
 class TestMakeTrials:

@@ -216,3 +216,31 @@ class TestEvaluate:
         assert rep.min_dcf == 0.0
         assert metrics.dcf(st, 1.0) == 0.0
         assert rep.min_dcf <= metrics.dcf(st, 1.0) + 1e-12
+
+
+class TestOneSweep:
+    def test_evaluate_reads_the_labels_once(self, monkeypatch):
+        calls = []
+        labels = data.ScoredTrialSet.labels
+        monkeypatch.setattr(data.ScoredTrialSet, "labels",
+                            lambda self: calls.append(self) or labels(self))
+        metrics.evaluate(random_scored(np.random.default_rng(11), 300))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("tgt, non, eer", [
+        ([np.nextafter(1.0, 2.0)], [1.0], 0.0),
+        ([1.0], [np.nextafter(1.0, 2.0)], 1.0),
+        ([1e300], [1e300], 0.5),
+        ([np.finfo(float).max, 0.0], [np.finfo(float).max], 2 / 3),
+        ([np.finfo(float).max], [0.75 * np.finfo(float).max], 0.0),
+    ], ids=["neighbours-separable", "neighbours-reversed", "absorbed-tie", "largest-float",
+            "overflowing-midpoint"])
+    def test_thresholds_separate_scores_at_float_extremes(self, tgt, non, eer):
+        # the midpoint of neighbouring floats is one of them, and 1e300 + 1.0
+        # is 1e300: the sweep still counts every step of the staircase, and its
+        # threshold still achieves its cost
+        st = scored_from(tgt, non)
+        w = metrics.DcfWeights(p_target=0.5)
+        report = metrics.evaluate(st, w)
+        assert report.eer == pytest.approx(eer, abs=1e-15)
+        assert metrics.dcf(st, report.threshold, w) == report.min_dcf

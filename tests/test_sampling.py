@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from svkit import data, sampling
-from svkit.errors import ArgumentError, SamplerError
+from svkit.errors import ArgumentError, MissingIdError, SamplerError
 
 
 def make_utts(n_speakers=8, utts_per_speaker=20, genders=("M",), datasets=("d1",), dim=3):
@@ -253,3 +253,32 @@ class TestSerialization:
         assert lines[0].startswith("#batch gender=M dataset=d1")
         trials = data.read_trials(path)  # comments are skipped
         assert len(trials) == 1024
+
+
+class TestBatchIndex:
+    @pytest.mark.parametrize("sample", [
+        lambda utts: sampling.sample_epoch_algo2(utts, sampling.SamplerConfig(seed=3), 4),
+        lambda utts: sampling.sample_trials_algo1(utts, n_trials=1500, seed=3),
+    ], ids=["algo2", "algo1"])
+    def test_index_and_labels_match_the_trials(self, sample):
+        batches = sample(make_utts(n_speakers=40, utts_per_speaker=40, genders=("M", "F")))
+        for batch in batches:
+            ids, e_idx, t_idx = data.pair_index(batch.trials, batch.utterances)
+            assert batch.ids == ids
+            assert np.array_equal(batch.e_idx, e_idx)
+            assert np.array_equal(batch.t_idx, t_idx)
+            assert np.array_equal(batch.labels, data._labels(batch.trials))
+
+    def test_unlabelled_trial_fails_at_construction(self):
+        utts = data.UtteranceSet(make_utts(n_speakers=2, utts_per_speaker=2))
+        trials = [data.Trial("M-d1-s0-u0", "M-d1-s0-u1", data.TARGET),
+                  data.Trial("M-d1-s0-u0", "M-d1-s1-u0")]
+        with pytest.raises(ArgumentError) as exc:
+            sampling.TrialBatch(utts, trials)
+        assert "M-d1-s0-u0/M-d1-s1-u0" in str(exc.value)
+
+    def test_missing_utterance_fails_at_construction(self):
+        utts = data.UtteranceSet(make_utts(n_speakers=2, utts_per_speaker=2))
+        with pytest.raises(MissingIdError) as exc:
+            sampling.TrialBatch(utts, [data.Trial("M-d1-s0-u0", "ghost", data.NONTARGET)])
+        assert exc.value.ids == ["ghost"]

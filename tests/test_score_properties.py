@@ -96,3 +96,34 @@ def test_error_rates_monotone_in_threshold(tgt, non, thresholds):
                                        np.array(non, dtype=np.float64), np.sort(thresholds))
     assert np.all(np.diff(p_miss) >= 0.0)
     assert np.all(np.diff(p_fa) <= 0.0)
+
+
+def _staircase_eer(scores, labels):
+    """EER by brute force: each distinct score, then +inf, used as the threshold."""
+    scores, labels = np.asarray(scores, dtype=np.float64), np.asarray(labels, dtype=bool)
+    tgt, non = scores[labels], scores[~labels]
+    points = [(np.mean(tgt < th), np.mean(non >= th)) for th in [*np.unique(scores), np.inf]]
+    for (m0, f0), (m1, f1) in zip(points, points[1:]):
+        if m0 - f0 <= 0.0 < m1 - f1:
+            return m0 + (f0 - m0) / ((m1 - m0) - (f1 - f0)) * (m1 - m0)
+    raise AssertionError("P_Miss - P_FA never turns positive")
+
+
+OPERATING_POINTS = [metrics.DcfWeights(p_target=p) for p in (0.01, 0.05, 0.5)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(scores=st.lists(st.integers(-5, 5), min_size=2, max_size=60), data_=st.data(),
+       weights=st.sampled_from(OPERATING_POINTS))
+def test_one_sweep_serves_every_metric(scores, data_, weights):
+    # eleven distinct values over up to sixty trials: ties everywhere
+    n = len(scores)
+    labels = data_.draw(st.lists(st.booleans(), min_size=n, max_size=n)
+                        .filter(lambda ys: any(ys) and not all(ys)), label="labels")
+    scored = _scored(scores, labels)
+    report = metrics.evaluate(scored, weights)
+    assert (report.eer, report.min_dcf, report.threshold) == (metrics.eer(scored),
+                                                             *metrics.min_dcf(scored, weights))
+    assert metrics.min_dcf_multi(scored, OPERATING_POINTS) == float(
+        np.mean([metrics.min_dcf(scored, w)[0] for w in OPERATING_POINTS]))
+    assert metrics.eer(scored) == pytest.approx(_staircase_eer(scores, labels), abs=1e-12)
