@@ -106,7 +106,8 @@ class Config:
     """INI-backed experiment configuration with CLI overrides."""
 
     def __init__(self, path: str | None, overrides: list[str] | None = None):
-        self.parser = configparser.ConfigParser()
+        # values are literal: a '%' is text, not interpolation syntax
+        self.parser = configparser.ConfigParser(interpolation=None)
         for section, values in DEFAULTS.items():
             self.parser[section] = dict(values)
         if path is not None:
@@ -490,7 +491,7 @@ def cmd_evaluate(args) -> int:
     all_w = [metrics_mod.DcfWeights(args.c_miss, args.c_fa, p)
              for p in [args.p_target, *args.extra_p_target]]
     weights = all_w[0]
-    report = metrics_mod.evaluate(scored, weights)
+    report = metrics_mod.evaluate(scored, weights, all_w[1:])
     print(f"eer_percent {100.0 * report.eer:.4f}")
     print(f"min_dcf {report.min_dcf:.6f}")
     print(f"threshold {report.threshold:.6f}")
@@ -499,7 +500,7 @@ def cmd_evaluate(args) -> int:
         f"p_target={weights.p_target} beta={weights.beta:.4f}"
     )
     if args.extra_p_target:
-        print(f"min_dcf_avg {metrics_mod.min_dcf_multi(scored, all_w):.6f}")
+        print(f"min_dcf_avg {report.min_dcf_avg:.6f}")
     dm._write_lines(args.csv or (args.scores + ".metrics.csv"), [
         "metric,value\n",
         f"eer,{report.eer:.8f}\n",

@@ -207,14 +207,22 @@ def pair_index(trials: list[Trial], lookup) -> tuple[list[str], np.ndarray, np.n
     keyed by id).  Every referenced id missing from it is reported, sorted,
     by one MissingIdError.
     """
-    ids = sorted({t.enroll_id for t in trials} | {t.test_id for t in trials})
+    return _index_sides([t.enroll_id for t in trials], [t.test_id for t in trials], lookup)
+
+
+def _index_sides(enroll_ids: list[str], test_ids: list[str], lookup):
+    """Sorted unique ids of two id lists and the row of each of their entries among them.
+
+    ``pair_index`` passes one entry per trial and side; a cross-product batch
+    passes its enroll and its test utterances once each.
+    """
+    ids = sorted(set(enroll_ids).union(test_ids))
     missing = [u for u in ids if u not in lookup]
     if missing:
         raise MissingIdError(missing)
-    index = {u: i for i, u in enumerate(ids)}
-    e_idx = np.array([index[t.enroll_id] for t in trials])
-    t_idx = np.array([index[t.test_id] for t in trials])
-    return ids, e_idx, t_idx
+    row = {u: i for i, u in enumerate(ids)}.__getitem__
+    return ids, *(np.fromiter(map(row, side), dtype=np.intp, count=len(side))
+                  for side in (enroll_ids, test_ids))
 
 
 # ---------------------------------------------------------------------------

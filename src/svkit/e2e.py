@@ -243,9 +243,9 @@ def _extract_backward(model: E2EModel, cache, demb: np.ndarray, grads: dict) -> 
     grads["emb.b"] += dbe
     dX = stats_pool_backward(dpooled, last, cfg.pooling)
     for i in reversed(range(len(cfg.layers))):
-        dX, dW, db = tdnn_layer_backward(
-            dX, layer_inputs[i], cfg.layers[i].offsets, model.tdnn_W[i], model.tdnn_b[i]
-        )
+        # nothing reads the gradient at the features, layer 0's input
+        dX, dW, db = tdnn_layer_backward(dX, layer_inputs[i], cfg.layers[i].offsets,
+                                         model.tdnn_W[i], model.tdnn_b[i], input_grad=i > 0)
         grads[f"tdnn{i}.W"] += dW
         grads[f"tdnn{i}.b"] += db
 

@@ -4,12 +4,13 @@ The decision rule is uniform everywhere: a trial is accepted iff its score
 is >= the threshold.  Threshold sweeps therefore place candidates at the
 midpoints between consecutive distinct scores (plus sentinels beyond both
 ends) so no candidate ever ties a score.  Each call sweeps the thresholds
-once; ``evaluate`` and ``min_dcf_multi`` share one sweep between their
-metrics.  ``dcf`` and ``error_rates`` are the independent oracle.
+once; ``evaluate`` shares one sweep between its metrics and operating
+points.  ``dcf`` and ``error_rates`` are the independent oracle.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,11 +45,16 @@ class DcfWeights:
 
 @dataclass
 class EvalReport:
-    """Evaluation summary for one scored trial set."""
+    """Evaluation summary for one scored trial set.
+
+    ``min_dcf_avg`` is the mean minimum cost over every operating point
+    evaluated; with one, it is ``min_dcf``.
+    """
 
     eer: float
     min_dcf: float
     threshold: float
+    min_dcf_avg: float
 
 
 def _targets(scored: ScoredTrialSet) -> np.ndarray:
@@ -120,15 +126,6 @@ def min_dcf(scored: ScoredTrialSet, weights: DcfWeights = DcfWeights()):
     return _min_cost(_sweep(scored), weights)
 
 
-def min_dcf_multi(scored: ScoredTrialSet, weights_list) -> float:
-    """Mean of minimum detection costs over several operating points."""
-    weights_list = list(weights_list)
-    if not weights_list:
-        raise ArgumentError("weights_list must be non-empty")
-    sweep = _sweep(scored)
-    return float(np.mean([_min_cost(sweep, w)[0] for w in weights_list]))
-
-
 def _eer(sweep) -> float:
     _, p_miss, p_fa = sweep
     # P_Miss - P_FA rises from -1 to +1 (see _sweep): it turns positive at one step
@@ -144,8 +141,13 @@ def eer(scored: ScoredTrialSet) -> float:
     return _eer(_sweep(scored))
 
 
-def evaluate(scored: ScoredTrialSet, weights: DcfWeights = DcfWeights()) -> EvalReport:
-    """EER, and minDCF with its threshold, from one sweep."""
+def evaluate(scored: ScoredTrialSet, weights: DcfWeights = DcfWeights(),
+             extra: Sequence[DcfWeights] = ()) -> EvalReport:
+    """EER, minDCF with its threshold, and minDCF averaged with ``extra`` operating points.
+
+    One sweep serves every metric and operating point.
+    """
     sweep = _sweep(scored)
     cost, theta = _min_cost(sweep, weights)
-    return EvalReport(eer=_eer(sweep), min_dcf=cost, threshold=theta)
+    avg = float(np.mean([cost] + [_min_cost(sweep, w)[0] for w in extra]))
+    return EvalReport(eer=_eer(sweep), min_dcf=cost, threshold=theta, min_dcf_avg=avg)

@@ -7,7 +7,8 @@ finite-difference checks can perturb any input freely.
 
 Supported operators: affine, unit-length normalization, TDNN layer (temporal
 convolution with ReLU), statistics pooling (mean + stddev or variance), the
-symmetric quadratic scoring layer, and the Adam update.
+symmetric quadratic scoring layer on row-aligned pairs and on the product of
+two row sets, and the Adam update.
 """
 
 from __future__ import annotations
@@ -118,10 +119,13 @@ def tdnn_layer(X: np.ndarray, offsets, W: np.ndarray, b: np.ndarray) -> np.ndarr
     return relu(pre)
 
 
-def tdnn_layer_backward(dY: np.ndarray, X: np.ndarray, offsets, W: np.ndarray, b: np.ndarray):
+def tdnn_layer_backward(dY: np.ndarray, X: np.ndarray, offsets, W: np.ndarray, b: np.ndarray,
+                        input_grad: bool = True):
     """Gradients (dX, dW, db); recomputes the ReLU mask from the inputs.
 
     For a stack X of shape (N, T, k), dW and db are summed over its utterances.
+    With ``input_grad`` false dX is None and costs nothing: a model's first
+    layer reads acoustic features, which take no gradient.
     """
     X = np.asarray(X, dtype=np.float64)
     offsets = np.asarray(offsets, dtype=np.int64)
@@ -129,6 +133,8 @@ def tdnn_layer_backward(dY: np.ndarray, X: np.ndarray, offsets, W: np.ndarray, b
     dpre = (np.asarray(dY, dtype=np.float64) * (pre > 0.0)).reshape(-1, W.shape[0])
     dW = dpre.T @ X_cat.reshape(dpre.shape[0], -1)
     db = dpre.sum(axis=0)
+    if not input_grad:
+        return None, dW, db
     T_out, k_in = pre.shape[-2], X.shape[-1]
     dX_cat = (dpre @ W).reshape(*pre.shape[:-1], len(starts), k_in)
     dX = np.zeros_like(X)
@@ -241,6 +247,48 @@ def quadratic_score_backward(ds, eta_e, eta_t, P, Q):
         dQ = (ds * eta_e).T @ eta_e + (ds * eta_t).T @ eta_t
     dk = float(ds.sum())
     return de, dt, dP, dQ, dk
+
+
+def quadratic_score_product(A_e, A_t, p, q, k: float) -> np.ndarray:
+    """Quadratic scores of every (row of A_e, row of A_t) pair, an (n_e, n_t) matrix.
+
+    Entry (i, j) is quadratic_score(A_e[i], A_t[j], p, q, k) with diagonal p
+    and q; the matrix is (A_e^2 q) 1' + 1 (A_t^2 q)' + 2 A_e diag(p) A_t' + k,
+    one GEMM in place of n_e n_t row sums.
+    """
+    A_e = np.asarray(A_e, dtype=np.float64)
+    A_t = np.asarray(A_t, dtype=np.float64)
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    if A_e.ndim != 2 or A_t.ndim != 2 or A_e.shape[1] != A_t.shape[1]:
+        raise ShapeError(f"need (n_e, d) and (n_t, d) rows, got {A_e.shape} and {A_t.shape}")
+    d = A_e.shape[1]
+    if p.shape != (d,) or q.shape != (d,):
+        raise ShapeError(f"p/q shapes {p.shape}/{q.shape} do not match dim {d}")
+    S = (A_e * (2.0 * p)) @ A_t.T
+    S += ((A_e * A_e) @ q)[:, None]
+    S += (A_t * A_t) @ q
+    S += k
+    return S
+
+
+def quadratic_score_product_backward(dS, A_e, A_t, p, q):
+    """Gradients (dA_e, dA_t, dp, dq, dk) for quadratic_score_product.
+
+    dS is the (n_e, n_t) upstream gradient; every gradient is a GEMM of it
+    or of its row and column sums against the rows.
+    """
+    dS = np.asarray(dS, dtype=np.float64)
+    A_e = np.asarray(A_e, dtype=np.float64)
+    A_t = np.asarray(A_t, dtype=np.float64)
+    rows, cols = dS.sum(axis=1), dS.sum(axis=0)
+    dS_At = dS @ A_t  # (n_e, d): sum_j dS[i, j] A_t[j]
+    dS_Ae = dS.T @ A_e  # (n_t, d): sum_i dS[i, j] A_e[i]
+    dA_e = 2.0 * (rows[:, None] * A_e * q + dS_At * p)
+    dA_t = 2.0 * (cols[:, None] * A_t * q + dS_Ae * p)
+    dp = 2.0 * np.sum(A_e * dS_At, axis=0)
+    dq = rows @ (A_e * A_e) + cols @ (A_t * A_t)
+    return dA_e, dA_t, dp, dq, float(rows.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,13 @@ cost, so the model descends an approximation of its own evaluation metric.
 Initialized from a fitted generative PLDA model, the scorer reproduces that
 model's log-likelihood ratios exactly, which pins the starting EER/minDCF to
 the generative baseline before any gradient step.
+
+Training embeds each utterance of a batch once.  A cross-product batch is
+scored as its block: with A_e and A_t the enroll and test rows after the
+second affine, the score matrix is (A_e^2 q) 1' + 1 (A_t^2 q)' +
+2 A_e diag(p) A_t' + k, and its backward is GEMMs against the (n_e, n_t)
+gradient of the soft cost.  Other batches, and every scorer, gather the two
+sides of each trial and score the row-aligned pairs.
 """
 
 from __future__ import annotations
@@ -38,6 +45,8 @@ from .nn import (
     length_norm_backward,
     quadratic_score,
     quadratic_score_backward,
+    quadratic_score_product,
+    quadratic_score_product_backward,
 )
 from .sampling import TrialBatch
 
@@ -232,27 +241,36 @@ def soft_dcf_loss(scores: np.ndarray, labels: np.ndarray, theta: float, cfg: Los
 # ---------------------------------------------------------------------------
 
 
-def _head_forward(params: NpldaParams, X: np.ndarray, e_idx: np.ndarray, t_idx: np.ndarray):
-    """Scores of trials whose sides index the rows of X, and the backward cache."""
+def _head_forward(params: NpldaParams, X: np.ndarray, e_rows: np.ndarray, t_rows: np.ndarray,
+                  product: bool = False):
+    """Scores of trials whose sides index the rows of X, and the backward cache.
+
+    The trials are the row-aligned pairs (e_rows[i], t_rows[i]), scored as an
+    (n,) vector, or with ``product`` every pair (e_rows[i], t_rows[j]), scored
+    as the (n_e, n_t) matrix.
+    """
     h1 = affine(X, params.W1, params.b1)
     z = length_norm(h1)
     acts = affine(z, params.W2, params.b2)
-    a_e, a_t = acts[e_idx], acts[t_idx]
-    scores = quadratic_score(a_e, a_t, params.p, params.q, params.k)
-    return scores, (X, h1, z, acts, a_e, a_t, e_idx, t_idx)
+    a_e, a_t = acts[e_rows], acts[t_rows]
+    score = quadratic_score_product if product else quadratic_score
+    scores = score(a_e, a_t, params.p, params.q, params.k)
+    return scores, (X, h1, z, acts, a_e, a_t, e_rows, t_rows, product)
 
 
 def _head_backward(params: NpldaParams, cache, dscores: np.ndarray):
     """Gradients of every parameter but theta, and dX, given d_loss/d_scores.
 
-    Trial-level gradients are scattered back onto the shared rows before the
-    stack backward, so each row of X receives the sum over its trials.
+    Gradients of the gathered rows are scattered back onto the shared rows
+    before the stack backward, so each row of X receives the sum over its
+    trials.
     """
-    X, h1, z, acts, a_e, a_t, e_idx, t_idx = cache
-    de, dt, dp, dq, dk = quadratic_score_backward(dscores, a_e, a_t, params.p, params.q)
+    X, h1, z, acts, a_e, a_t, e_rows, t_rows, product = cache
+    backward = quadratic_score_product_backward if product else quadratic_score_backward
+    de, dt, dp, dq, dk = backward(dscores, a_e, a_t, params.p, params.q)
     dacts = np.zeros_like(acts)
-    np.add.at(dacts, e_idx, de)
-    np.add.at(dacts, t_idx, dt)
+    np.add.at(dacts, e_rows, de)
+    np.add.at(dacts, t_rows, dt)
     dz, dW2, db2 = affine_backward(dacts, z, params.W2)
     dh1 = length_norm_backward(dz, h1)
     dX, dW1, db1 = affine_backward(dh1, X, params.W1)
@@ -271,13 +289,20 @@ def _head_backward(params: NpldaParams, cache, dscores: np.ndarray):
 def stack_loss_and_grads(params: NpldaParams, X: np.ndarray, batch: TrialBatch, cfg: LossConfig):
     """Soft-DCF loss over a batch's trials, given one input row per id of ``batch.ids``.
 
-    X holds one raw embedding per unique utterance; the batch's e_idx/t_idx
-    gather the two sides of each trial.  Returns (loss, parameter grads, dX)
-    where dX is the gradient with respect to the input rows, which lets a
-    front-end extractor continue the backward pass.
+    X holds one raw embedding per unique utterance.  A cross-product batch
+    (``batch.block``) is scored as its (n_e, n_t) score matrix, with GEMMs;
+    any other batch gathers the two sides of each trial by e_idx/t_idx.
+    Returns (loss, parameter grads, dX) where dX is the gradient with respect
+    to the input rows, which lets a front-end extractor continue the
+    backward pass.
     """
-    scores, cache = _head_forward(params, X, batch.e_idx, batch.t_idx)
-    loss, dscores, dtheta = soft_dcf_loss(scores, batch.labels, params.theta, cfg)
+    if batch.block is None:
+        scores, cache = _head_forward(params, X, batch.e_idx, batch.t_idx)
+    else:
+        scores, cache = _head_forward(params, X, *batch.block, product=True)
+    # the enroll-major label vector of a block, viewed as its label matrix
+    labels = batch.labels.reshape(scores.shape)
+    loss, dscores, dtheta = soft_dcf_loss(scores, labels, params.theta, cfg)
     grads, dX = _head_backward(params, cache, dscores)
     grads["theta"] = np.float64(dtheta if cfg.learn_theta else 0.0)
     return loss, grads, dX
@@ -286,11 +311,10 @@ def stack_loss_and_grads(params: NpldaParams, X: np.ndarray, batch: TrialBatch, 
 def batch_loss_and_grads(params: NpldaParams, batch: TrialBatch, cfg: LossConfig):
     """Soft-DCF loss on one batch plus gradients for every parameter.
 
-    Each utterance in the batch is embedded once; trial-level gradients are
-    scattered back onto the shared activations before the stack backward.
+    The batch's embedding matrix is stacked on its first step and kept, and
+    each utterance in it is embedded once per step.
     """
-    X = batch.utterances.embedding_matrix(batch.ids)
-    loss, grads, _ = stack_loss_and_grads(params, X, batch, cfg)
+    loss, grads, _ = stack_loss_and_grads(params, batch.embeddings, batch, cfg)
     return loss, grads
 
 

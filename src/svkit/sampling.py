@@ -11,17 +11,22 @@ yield 1024 trials.
 
 Each sampler call builds one speaker-pool index, ``_speaker_pools``, and
 both samplers draw from it; cross-product batches are built by
-``_cross_product``.
+``_cross_product``.  A cross-product batch is a block: its enroll ids, its
+test ids and their (n_e, n_t) label matrix, held as a ``CrossProduct``.  No
+``Trial`` is made unless its ``trials`` are read, and the backend scores the
+block as one matrix (see ``nplda.stack_loss_and_grads``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .data import (NONTARGET, TARGET, Trial, Utterance, UtteranceSet, _labels, _write_lines,
-                   pair_index)
+from .data import (NONTARGET, TARGET, Trial, Utterance, UtteranceSet, _index_sides, _labels,
+                   _write_lines, pair_index)
 from .errors import ArgumentError, SamplerError
 
 UTTS_PER_BATCH = 64
@@ -44,27 +49,74 @@ class SamplerConfig:
             raise ArgumentError(f"m_max = {self.m_max} exceeds utts_per_batch / 2")
 
 
+class CrossProduct(Sequence):
+    """Every (enroll, test) pair of two id lists as a trial, in enroll-major order.
+
+    ``labels`` is the (n_e, n_t) 0/1 matrix of the pairs' labels.  A Trial is
+    made only when one is read.
+    """
+
+    def __init__(self, enroll: list[str], test: list[str], labels: np.ndarray):
+        self.enroll, self.test = list(enroll), list(test)
+        self.labels = np.asarray(labels, dtype=np.float64)
+        if not self.enroll or not self.test:
+            raise ArgumentError("a cross product needs enroll and test utterances")
+        # a repeated id would repeat its trials
+        if len(set(self.enroll)) < len(self.enroll) or len(set(self.test)) < len(self.test):
+            raise ArgumentError("a cross product lists each enroll and each test id once")
+        if self.labels.shape != (len(self.enroll), len(self.test)):
+            raise ArgumentError(f"label matrix has shape {self.labels.shape}, "
+                                f"expected ({len(self.enroll)}, {len(self.test)})")
+        if not np.isin(self.labels, (0.0, 1.0)).all():
+            raise ArgumentError("cross-product labels must be 0 or 1")
+
+    def __len__(self) -> int:
+        return self.labels.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        e, t = divmod(range(len(self))[i], len(self.test))
+        return Trial(self.enroll[e], self.test[t], TARGET if self.labels[e, t] else NONTARGET)
+
+
 @dataclass
 class TrialBatch:
     """Trials plus the utterances they reference, indexed once when built.
 
     ``ids`` are the sorted ids the trials reference, ``e_idx``/``t_idx``
-    each trial's two rows among them and ``labels`` the 0/1 label vector:
-    every training step reads these.  A batch that cannot be indexed (an
-    unlabelled trial, or a trial naming an utterance the batch lacks)
-    cannot be built.  gender/dataset_id are set for single-partition
-    batches and None for pooled mixed batches.
+    each trial's two rows among them and ``labels`` the 0/1 label vector,
+    whether ``trials`` is a list or a CrossProduct.  A CrossProduct also sets
+    ``block``, the rows of its enroll and of its test ids, and its trials
+    come in its enroll-major order.  Every training step reads these.  A
+    batch that cannot be indexed (an unlabelled trial, or a trial naming an
+    utterance the batch lacks) cannot be built.  gender/dataset_id are set
+    for single-partition batches and None for pooled mixed batches.
     """
 
     utterances: UtteranceSet
-    trials: list[Trial]
+    trials: list[Trial] | CrossProduct
     gender: str | None = None
     dataset_id: str | None = None
     tag: str = ""
 
     def __post_init__(self):
-        self.ids, self.e_idx, self.t_idx = pair_index(self.trials, self.utterances)
-        self.labels = _labels(self.trials)
+        if isinstance(self.trials, CrossProduct):
+            self.ids, e_rows, t_rows = _index_sides(self.trials.enroll, self.trials.test,
+                                                    self.utterances)
+            self.block = (e_rows, t_rows)
+            self.e_idx = np.repeat(e_rows, len(t_rows))
+            self.t_idx = np.tile(t_rows, len(e_rows))
+            self.labels = self.trials.labels.ravel()
+        else:
+            self.block = None
+            self.ids, self.e_idx, self.t_idx = pair_index(self.trials, self.utterances)
+            self.labels = _labels(self.trials)
+
+    @cached_property
+    def embeddings(self) -> np.ndarray:
+        """One embedding row per id of ``ids``, stacked on first read and kept."""
+        return self.utterances.embedding_matrix(self.ids)
 
     def n_targets(self) -> int:
         return int(self.labels.sum())
@@ -121,23 +173,21 @@ def _cross_product(key: tuple[str, str], by_spk: dict[str, list[Utterance]],
     counts = _allocate_counts(len(speakers), utts_per_batch,
                               [len(by_spk[s]) for s in speakers])
     utterances: list[Utterance] = []
-    enroll: list[Utterance] = []
-    test: list[Utterance] = []
+    enroll: list[str] = []
+    test: list[str] = []
     for spk, count in zip(speakers, counts):
         pool = by_spk[spk]
         chosen = [pool[i] for i in rng.choice(len(pool), size=count, replace=False)]
         rng.shuffle(chosen)
         utterances += chosen
-        enroll += chosen[: count // 2]
-        test += chosen[count // 2 :]
-    trials = [
-        Trial(e.id, t.id, TARGET if e.speaker_id == t.speaker_id else NONTARGET)
-        for e in enroll
-        for t in test
-    ]
+        enroll += [u.id for u in chosen[: count // 2]]
+        test += [u.id for u in chosen[count // 2 :]]
+    # each speaker contributes count // 2 utterances to either side, in speaker order
+    speaker_of = np.repeat(np.arange(len(speakers)), [count // 2 for count in counts])
+    labels = np.equal.outer(speaker_of, speaker_of)
     gender, dataset = key
-    return TrialBatch(UtteranceSet(utterances), trials, gender, dataset,
-                      tag=f"{gender}/{dataset}/m{len(speakers)}/seed{seed}")
+    return TrialBatch(UtteranceSet(utterances), CrossProduct(enroll, test, labels), gender,
+                      dataset, tag=f"{gender}/{dataset}/m{len(speakers)}/seed{seed}")
 
 
 def sample_batch_algo2(

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -192,6 +193,20 @@ class TestConfig:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "b.txt").exists()
 
+    @pytest.mark.parametrize("in_file, override, dataset", [
+        ("a%b", None, "a%b"),
+        ("synth", "simulate.dataset=x%y", "x%y"),
+        ("%(seed)s", None, "%(seed)s"),
+    ], ids=["file", "override", "interpolation-syntax"])
+    def test_percent_is_literal(self, tmp_path, in_file, override, dataset):
+        cfg = write_config(tmp_path / "pct.ini", SMALL_DEV_CONFIG % 12 + f"dataset = {in_file}\n")
+        extra = ["-O", override] if override else []
+        assert run(["simulate", "--config", cfg, *extra, "--out", str(tmp_path / "o")]) == 0
+        train = data.read_embeddings(tmp_path / "o" / "train.embeddings")
+        assert {u.dataset_id for u in train} == {dataset}
+        resolved = (tmp_path / "o" / "simulate.config.ini").read_text()
+        assert f"dataset = {dataset}\n" in resolved
+
     def test_readme_config_runs(self, tmp_path):
         readme = (Path(cli.__file__).parents[2] / "README.md").read_text()
         cfg = write_config(tmp_path / "readme.ini", readme.split("```ini\n")[1].split("```")[0])
@@ -355,10 +370,22 @@ class TestTrainScoreEvaluate:
         trials = [data.Trial("a", "b", "target"), data.Trial("c", "d", "target"),
                   data.Trial("e", "f", "nontarget"), data.Trial("g", "h", "nontarget")]
         st = data.ScoredTrialSet(trials, np.array([2.0, 0.0, 1.0, -1.0]))
-        want = metrics.min_dcf_multi(
-            st, [metrics.DcfWeights(p_target=0.5), metrics.DcfWeights(p_target=0.1)]
-        )
+        want = np.mean([metrics.min_dcf(st, metrics.DcfWeights(p_target=p))[0]
+                        for p in (0.5, 0.1)])
         assert f"min_dcf_avg {want:.6f}" in printed
+
+    def test_evaluate_sweeps_once(self, tmp_path, monkeypatch):
+        # every operating point and metric comes from one sweep of the scores
+        calls = []
+        sweep = metrics._sweep
+        monkeypatch.setattr(metrics, "_sweep", lambda scored: calls.append(scored) or sweep(scored))
+        scores = tmp_path / "scores.txt"
+        key = tmp_path / "key.txt"
+        scores.write_text("a b 2.0\nc d 0.0\ne f 1.0\ng h -1.0\n")
+        key.write_text("a b target\nc d target\ne f nontarget\ng h nontarget\n")
+        assert run(["evaluate", "--scores", str(scores), "--key", str(key),
+                    "--extra-p-target", "0.1", "--extra-p-target", "0.3"]) == 0
+        assert len(calls) == 1
 
     def test_evaluate_unkeyed_trial_fails(self, tmp_path, capsys):
         scores = tmp_path / "scores.txt"
@@ -677,6 +704,16 @@ class TestSampleAndMem:
         ]) == 0
         trials = data.read_trials(batches)
         assert len(trials) == 6 * 1024
+
+    def test_sample_algo2_file_is_pinned(self, emb_workspace, tmp_path):
+        # cross-product batches derive their trials from their label matrix when
+        # written; the file is byte for byte the one per-trial batches wrote
+        root, cfg, out = emb_workspace
+        batches = tmp_path / "batches.txt"
+        assert run(["sample", "--config", cfg, "--seed", "2",
+                    "--data", str(out / "train.embeddings"), "--out", str(batches)]) == 0
+        assert hashlib.sha256(batches.read_bytes()).hexdigest() == (
+            "5c8a72383b8de8dc01914b8691b5c34bbbb4a65fceda79eaedfbc4df64da11e6")
 
     def test_sample_command_algo1(self, emb_workspace, tmp_path):
         root, cfg, out = emb_workspace

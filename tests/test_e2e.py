@@ -244,6 +244,17 @@ class TestGradients:
     def test_loss_gradcheck_small(self):
         assert self.loss_gradcheck(tiny_batch(np.random.default_rng(13))) < 1e-3
 
+    def test_loss_gradcheck_cross_product(self):
+        # a sampled cross-product batch: the head scores it as a block
+        rng = np.random.default_rng(13)
+        utts = [data.Utterance(f"x{i:02d}", f"s{i % 3}", "M", "d",
+                               data.FeatureMatrix(rng.standard_normal((9, 3))))
+                for i in range(12)]
+        cfg = sampling.SamplerConfig(utts_per_batch=8, m_min=2, m_max=3, seed=4)
+        batch, = sampling.sample_epoch_algo2(utts, cfg, n_batches=1)
+        assert batch.block is not None
+        assert self.loss_gradcheck(batch) < 1e-3
+
     def test_loss_gradcheck_mixed_lengths(self):
         # three stacks (8 + 3 utterances of 9 frames, 3 of 12) add into one gradient
         assert self.loss_gradcheck(mixed_length_batch(np.random.default_rng(13))) < 1e-3

@@ -155,7 +155,7 @@ class TestMinDcf:
         rng = np.random.default_rng(5)
         st = random_scored(rng, 300)
         ws = [metrics.DcfWeights(p_target=p) for p in (0.01, 0.05)]
-        avg = metrics.min_dcf_multi(st, ws)
+        avg = metrics.evaluate(st, ws[0], ws[1:]).min_dcf_avg
         parts = [metrics.min_dcf(st, w)[0] for w in ws]
         assert avg == pytest.approx(np.mean(parts))
 

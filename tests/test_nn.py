@@ -185,6 +185,17 @@ class TestStackedUtterances:
         self.assert_close(dW, sum(g[1] for g in per))
         self.assert_close(db, sum(g[2] for g in per))
 
+    def test_backward_without_input_grad(self):
+        rng = rand(33)
+        offsets = [-1, 0, 2]
+        X = rng.standard_normal((self.N, 9, 3))
+        W, b = rng.standard_normal((4, 9)), rng.standard_normal(4)
+        dY = rng.standard_normal(nn.tdnn_layer(X, offsets, W, b).shape)
+        _, dW, db = nn.tdnn_layer_backward(dY, X, offsets, W, b)
+        dX, dW0, db0 = nn.tdnn_layer_backward(dY, X, offsets, W, b, input_grad=False)
+        assert dX is None
+        assert np.array_equal(dW0, dW) and np.array_equal(db0, db)
+
     @pytest.mark.parametrize("mode", ["stddev", "variance"])
     def test_stats_pool(self, mode):
         rng = rand(31)
@@ -270,6 +281,57 @@ class TestQuadraticScore:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             nn.quadratic_score(np.zeros(3), np.zeros(4), np.zeros(3), np.zeros(3), 0.0)
+
+
+class TestQuadraticScoreProduct:
+    def test_entries_are_pair_scores(self):
+        rng = rand(40)
+        A_e, A_t = rng.standard_normal((4, 3)), rng.standard_normal((5, 3))
+        p, q = rng.standard_normal(3), rng.standard_normal(3)
+        S = nn.quadratic_score_product(A_e, A_t, p, q, 0.3)
+        assert S.shape == (4, 5)
+        for i in range(4):
+            for j in range(5):
+                want = nn.quadratic_score(A_e[i], A_t[j], p, q, 0.3)
+                assert abs(S[i, j] - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("seed", range(N_SEEDS))
+    def test_gradients(self, seed):
+        # dA_e, dA_t, dp, dq and dk of a weighted sum of the score matrix
+        rng = rand(300 + seed)
+        n_e, n_t, d = 1 + seed % 4, 1 + seed % 3, 3
+        A_e, A_t = rng.standard_normal((n_e, d)), rng.standard_normal((n_t, d))
+        p, q = rng.standard_normal(d), rng.standard_normal(d)
+        w = rng.standard_normal((n_e, n_t))
+
+        def f(A_e, A_t, p, q, k):
+            S = nn.quadratic_score_product(A_e, A_t, p, q, float(k))
+            dA_e, dA_t, dp, dq, dk = nn.quadratic_score_product_backward(w, A_e, A_t, p, q)
+            return float(np.sum(w * S)), [dA_e, dA_t, dp, dq, np.array(dk)]
+
+        assert nn.grad_check(f, [A_e, A_t, p, q, np.array(-0.4)]) < GRAD_TOL
+
+    def test_backward_matches_row_aligned_pairs(self):
+        # the product of rows is the row-aligned score on every pair of rows
+        rng = rand(41)
+        A_e, A_t = rng.standard_normal((3, 4)), rng.standard_normal((2, 4))
+        p, q = rng.standard_normal(4), rng.standard_normal(4)
+        dS = rng.standard_normal((3, 2))
+        e_idx, t_idx = np.repeat(np.arange(3), 2), np.tile(np.arange(2), 3)
+        de, dt, dp, dq, dk = nn.quadratic_score_backward(dS.ravel(), A_e[e_idx], A_t[t_idx], p, q)
+        dA_e, dA_t = np.zeros_like(A_e), np.zeros_like(A_t)
+        np.add.at(dA_e, e_idx, de)
+        np.add.at(dA_t, t_idx, dt)
+        got = nn.quadratic_score_product_backward(dS, A_e, A_t, p, q)
+        for a, b in zip(got, (dA_e, dA_t, dp, dq, dk)):
+            assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("shapes", [((3, 2), (4, 3), (2,)), ((3,), (4, 3), (3,)),
+                                        ((3, 3), (4, 3), (2,))])
+    def test_shape_mismatch(self, shapes):
+        e, t, pq = shapes
+        with pytest.raises(ShapeError):
+            nn.quadratic_score_product(np.zeros(e), np.zeros(t), np.zeros(pq), np.zeros(pq), 0.0)
 
 
 class TestAdam:

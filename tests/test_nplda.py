@@ -225,6 +225,26 @@ class TestBatchGradients:
         vals = [np.array(v, dtype=np.float64) for v in params.to_dict().values()]
         assert nn.grad_check(f, vals) < 1e-5
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cross_product_batch_gradcheck(self, seed):
+        # sampled cross-product batches are scored as blocks, with GEMMs
+        utts = data.synth_plda_embeddings(2.0 * np.eye(6)[:, :3], np.eye(6), 6, 4, seed=seed)
+        cfg = sampling.SamplerConfig(utts_per_batch=8, m_min=2, m_max=3, seed=seed)
+        params = nplda.init_random(6, 4, 3, seed=seed)
+        params.theta = 0.2
+        loss_cfg = nplda.LossConfig(alpha=4.0)
+        names = ["W1", "b1", "W2", "b2", "p", "q", "k", "theta"]
+        for batch in sampling.sample_epoch_algo2(utts, cfg, n_batches=2):
+            assert batch.block is not None
+
+            def f(*arrays):
+                pr = nplda.NpldaParams(*arrays[:6], float(arrays[6]), float(arrays[7]))
+                loss, grads = nplda.batch_loss_and_grads(pr, batch, loss_cfg)
+                return loss, [grads[n] for n in names]
+
+            vals = [np.array(v, dtype=np.float64) for v in params.to_dict().values()]
+            assert nn.grad_check(f, vals) < 1e-5
+
     def test_learn_theta_toggle(self):
         rng = np.random.default_rng(5)
         batch = small_batch(rng)

@@ -282,3 +282,33 @@ class TestBatchIndex:
         with pytest.raises(MissingIdError) as exc:
             sampling.TrialBatch(utts, [data.Trial("M-d1-s0-u0", "ghost", data.NONTARGET)])
         assert exc.value.ids == ["ghost"]
+
+
+class TestCrossProduct:
+    @pytest.mark.parametrize("enroll, test, labels", [
+        ([], ["b"], np.zeros((0, 1))),
+        (["a", "a"], ["b"], np.zeros((2, 1))),
+        (["a"], ["b", "c"], np.zeros((2, 1))),
+        (["a"], ["b"], np.full((1, 1), 0.5)),
+    ], ids=["empty-side", "repeated-id", "label-shape", "label-value"])
+    def test_bad_block_fails_at_construction(self, enroll, test, labels):
+        with pytest.raises(ArgumentError):
+            sampling.CrossProduct(enroll, test, labels)
+
+    def test_missing_utterance_fails_at_construction(self):
+        utts = data.UtteranceSet(make_utts(n_speakers=2, utts_per_speaker=2))
+        block = sampling.CrossProduct(["M-d1-s0-u0"], ["ghost"], np.zeros((1, 1)))
+        with pytest.raises(MissingIdError) as exc:
+            sampling.TrialBatch(utts, block)
+        assert exc.value.ids == ["ghost"]
+
+    def test_sampled_batches_are_blocks(self):
+        utts = make_utts(n_speakers=40, utts_per_speaker=40, genders=("M", "F"))
+        for batch in sampling.sample_epoch_algo2(utts, sampling.SamplerConfig(seed=3), 4):
+            e_rows, t_rows = batch.block
+            assert (len(e_rows), len(t_rows)) == (32, 32)
+            # each speaker's enroll and test halves: labels mark same-speaker pairs
+            spk = [batch.utterances[u].speaker_id for u in batch.ids]
+            same = np.equal.outer([spk[r] for r in e_rows], [spk[r] for r in t_rows])
+            assert np.array_equal(batch.labels.reshape(32, 32), same)
+

@@ -124,6 +124,8 @@ def test_one_sweep_serves_every_metric(scores, data_, weights):
     report = metrics.evaluate(scored, weights)
     assert (report.eer, report.min_dcf, report.threshold) == (metrics.eer(scored),
                                                              *metrics.min_dcf(scored, weights))
-    assert metrics.min_dcf_multi(scored, OPERATING_POINTS) == float(
+    first, *extra = OPERATING_POINTS
+    assert metrics.evaluate(scored, first, extra).min_dcf_avg == float(
         np.mean([metrics.min_dcf(scored, w)[0] for w in OPERATING_POINTS]))
+    assert report.min_dcf_avg == report.min_dcf
     assert metrics.eer(scored) == pytest.approx(_staircase_eer(scores, labels), abs=1e-12)
