@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import _float_block, _float_lines, _records, _write_lines
-from .errors import ParseError, StateError
+from .errors import ModelError, ParseError, StateError
 
 MAGIC = "svkit-params"
 VERSION = "v1"
@@ -79,9 +79,16 @@ def load_params(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     raise ParseError(path, len(lines), "missing 'end' record")
 
 
-def _load_kind(path, kind: str) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    """``load_params`` of a checkpoint that must have been saved as ``kind``."""
+def _load_kind(path, build: dict) -> tuple[str, object]:
+    """The kind and model of the checkpoint at ``path``, made by ``build[kind](params, meta)``.
+
+    Any other kind fails, and so does a model whose layout is wrong, naming the file.
+    """
     params, meta = load_params(path)
-    if meta.get("kind") != kind:
-        raise StateError(f"{path} is a {meta.get('kind')!r} checkpoint, not {kind!r}")
-    return params, meta
+    kind = meta.get("kind")
+    if kind not in build:
+        raise StateError(f"{path} is a {kind!r} checkpoint, not {' or '.join(map(repr, build))}")
+    try:
+        return kind, build[kind](params, meta)
+    except ModelError as exc:
+        raise ModelError(f"{path}: {exc}") from None

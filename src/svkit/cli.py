@@ -22,7 +22,7 @@ from . import gplda as gplda_mod
 from . import metrics as metrics_mod
 from . import nplda as nplda_mod
 from . import sampling
-from .checkpoint import load_params
+from .checkpoint import _load_kind
 from .errors import ArgumentError, ConfigError, LengthError, SvkitError
 from .nn import POOL_STDDEV, POOL_VARIANCE
 
@@ -336,8 +336,7 @@ def cmd_simulate(args) -> int:
 _KINDS = {
     "gplda": ("embeddings", dm.read_embeddings, gplda_mod._from_checkpoint,
               gplda_mod.save_model, gplda_mod.score_trials),
-    "nplda": ("embeddings", dm.read_embeddings,
-              lambda params, _: nplda_mod.NpldaParams.from_dict(params),
+    "nplda": ("embeddings", dm.read_embeddings, nplda_mod._from_checkpoint,
               nplda_mod.save_nplda, nplda_mod.score_trials),
     "e2e": ("features", dm.read_features, e2e_mod._from_checkpoint,
             e2e_mod.save_e2e, e2e_mod.score_trials),
@@ -459,13 +458,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
-    params, meta = load_params(args.model)
-    kind = meta.get("kind", "")
-    if kind not in _KINDS:
-        raise ConfigError(f"{args.model}: unknown checkpoint kind {kind!r}")
-    _, read, from_checkpoint, _, score = _KINDS[kind]
+    kind, model = _load_kind(args.model, {kind: row[2] for kind, row in _KINDS.items()})
+    _, read, _, _, score = _KINDS[kind]
     trials = dm.read_trials(args.trials)
-    model = from_checkpoint(params, meta)
     utts = read(args.data)
     if kind == "e2e":
         _check_frames(model, utts, args.data)
@@ -476,7 +471,10 @@ def cmd_score(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    key = {(t.enroll_id, t.test_id): t for t in dm.read_trials(args.key)}
+    trials = dm.read_trials(args.key)
+    key = {(t.enroll_id, t.test_id): t for t in trials}
+    if len(key) < len(trials):
+        raise dm._repeated_pair(args.key)
     bad = next((t for t in key.values() if t.label is None), None)
     if bad is not None:
         raise ArgumentError(f"{args.key}: trial {bad.enroll_id} {bad.test_id} has no label")
@@ -486,8 +484,11 @@ def cmd_evaluate(args) -> int:
         raise ArgumentError(
             f"{len(unkeyed)} scored trial(s) missing from the key, first: {unkeyed[0]}"
         )
-    scored = dm.ScoredTrialSet([key[(e, t)] for e, t, _ in rows],
-                               np.array([s for _, _, s in rows]))
+    # every scored pair is keyed, so a pair the key no longer holds was scored before
+    picked = [key.pop((e, t), None) for e, t, _ in rows]
+    if any(t is None for t in picked):
+        raise dm._repeated_pair(args.scores)
+    scored = dm.ScoredTrialSet(picked, np.array([s for _, _, s in rows]))
     all_w = [metrics_mod.DcfWeights(args.c_miss, args.c_fa, p)
              for p in [args.p_target, *args.extra_p_target]]
     weights = all_w[0]

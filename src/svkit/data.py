@@ -383,6 +383,18 @@ def read_trials(path) -> list[Trial]:
     return trials
 
 
+def _repeated_pair(path) -> ParseError:
+    """The error at the first line of a trial or score file whose pair an earlier line has."""
+    seen = set()
+    with open(path) as fh:
+        for line_no, fields in _records(enumerate(fh, start=1)):
+            pair = tuple(fields[:2])
+            if pair in seen:
+                return ParseError(path, line_no, f"repeated pair {' '.join(pair)}")
+            if not pair[0].startswith("#"):
+                seen.add(pair)
+
+
 def write_scores(scored: ScoredTrialSet, path) -> None:
     _write_lines(path, (
         f"{t.enroll_id} {t.test_id} {_fmt(s)}\n"

@@ -6,8 +6,10 @@ embedding pairs.  Enrollment and test branches share one parameter set, so
 the scorer is symmetric by construction and every utterance in a batch is
 embedded exactly once no matter how many trials reference it.  Utterances
 are embedded in small groups of equal length: each group runs through the
-TDNN layers as one (N, T, k) stack, one matrix product per layer, and its
-gradients add into the model's.
+TDNN layers as one (N, T, k) stack, one matrix product per layer.  The
+model's parameters are views of one vector, the extractor's followed by the
+head's, and a batch's gradients fill one vector of that layout: the head
+writes its tail, and each stack adds into the extractor's part.
 
 Includes the activation-memory estimator for a training batch: storing
 forward and backward activations for 2N utterances of T frames costs
@@ -17,7 +19,6 @@ the context width of TDNN layer i.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ from .errors import ArgumentError, LengthError
 from .nn import (
     POOL_STDDEV,
     POOL_VARIANCE,
+    ParamVector,
     _tdnn_pre,
     affine,
     affine_backward,
@@ -125,75 +127,55 @@ def full_size_config(feat_dim: int = 30) -> E2EConfig:
     )
 
 
-@dataclass
-class E2EModel:
-    """One shared extractor parameter set plus the scoring head."""
+class E2EModel(ParamVector):
+    """One shared extractor parameter set plus the scoring head, as views of one vector.
 
-    config: E2EConfig
-    tdnn_W: list[np.ndarray]
-    tdnn_b: list[np.ndarray]
-    emb_W: np.ndarray
-    emb_b: np.ndarray
-    head: NpldaParams
+    The vector holds each TDNN layer's W and b, then the segment affine
+    ``emb``, then the head's parameters under ``head.``, laid out as ``head``
+    gives them; the ``head`` attribute is an NpldaParams over that tail.
+    """
 
-    def copy(self) -> "E2EModel":
-        return copy.deepcopy(self)
+    def __init__(self, config: E2EConfig, head: dict[str, tuple[int, ...]],
+                 vector: np.ndarray | None = None):
+        shapes = {}
+        for i, layer in enumerate(config.layers):
+            shapes[f"tdnn{i}.W"] = (layer.out_dim, layer.in_dim * layer.context_width)
+            shapes[f"tdnn{i}.b"] = (layer.out_dim,)
+        shapes["emb.W"] = (config.embedding_dim, 2 * config.layers[-1].out_dim)
+        shapes["emb.b"] = (config.embedding_dim,)
+        super().__init__(shapes | {f"head.{name}": s for name, s in head.items()}, vector)
+        self.config = config
+        self.tdnn_W = [self.views[f"tdnn{i}.W"] for i in range(len(config.layers))]
+        self.tdnn_b = [self.views[f"tdnn{i}.b"] for i in range(len(config.layers))]
+        self.emb_W, self.emb_b = self.views["emb.W"], self.views["emb.b"]
+        self.head = NpldaParams._over(head, self.vector[self.offsets[len(shapes)]:])
 
-    def to_dict(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for i, (W, b) in enumerate(zip(self.tdnn_W, self.tdnn_b)):
-            out[f"tdnn{i}.W"] = W
-            out[f"tdnn{i}.b"] = b
-        out["emb.W"] = self.emb_W
-        out["emb.b"] = self.emb_b
-        for name, value in self.head.to_dict().items():
-            out[f"head.{name}"] = value
-        return out
-
-    def from_dict(self, d: dict[str, np.ndarray]) -> "E2EModel":
-        return _model_from_dict(self.config, d)
-
-
-def _model_from_dict(cfg: E2EConfig, d: dict[str, np.ndarray]) -> E2EModel:
-    """The model of config ``cfg`` with the parameters named as in to_dict."""
-    n = len(cfg.layers)
-    head = NpldaParams.from_dict(
-        {k.split(".", 1)[1]: v for k, v in d.items() if k.startswith("head.")}
-    )
-    return E2EModel(
-        config=cfg,
-        tdnn_W=[np.asarray(d[f"tdnn{i}.W"], dtype=np.float64) for i in range(n)],
-        tdnn_b=[np.asarray(d[f"tdnn{i}.b"], dtype=np.float64) for i in range(n)],
-        emb_W=np.asarray(d["emb.W"], dtype=np.float64),
-        emb_b=np.asarray(d["emb.b"], dtype=np.float64),
-        head=head,
-    )
+    def like(self, vector: np.ndarray) -> "E2EModel":
+        return E2EModel(self.config, self.head.shapes, vector)
 
 
 def init_e2e(cfg: E2EConfig, seed: int, head: NpldaParams | None = None) -> E2EModel:
     """Random extractor; the head may come from a trained backend checkpoint."""
     rng = np.random.default_rng(seed)
-    tdnn_W, tdnn_b = [], []
-    for layer in cfg.layers:
-        fan_in = layer.in_dim * layer.context_width
-        tdnn_W.append(rng.standard_normal((layer.out_dim, fan_in)) * np.sqrt(2.0 / fan_in))
-        tdnn_b.append(0.01 * np.ones(layer.out_dim))
-    pooled = 2 * cfg.layers[-1].out_dim
-    emb_W = rng.standard_normal((cfg.embedding_dim, pooled)) * np.sqrt(1.0 / pooled)
-    emb_b = np.zeros(cfg.embedding_dim)
+    model = E2EModel(cfg, {})  # the extractor alone; _with_head appends the head
+    for W, b in zip(model.tdnn_W, model.tdnn_b):
+        W[...] = rng.standard_normal(W.shape) * np.sqrt(2.0 / W.shape[1])
+        b[...] = 0.01
+    pooled = model.emb_W.shape[1]
+    model.emb_W[...] = rng.standard_normal(model.emb_W.shape) * np.sqrt(1.0 / pooled)
     if head is None:
         head = nplda.init_random(cfg.embedding_dim, cfg.head_lda_dim, cfg.head_out_dim,
                                  seed=int(rng.integers(2**31)))
-    return _with_head(E2EModel(cfg, tdnn_W, tdnn_b, emb_W, emb_b, head), head)
+    return _with_head(model, head)
 
 
 def _with_head(model: E2EModel, head: NpldaParams) -> E2EModel:
-    """``model`` scoring with a copy of ``head``, which must take its embeddings."""
+    """``model``'s extractor under a copy of ``head``, which must take its embeddings."""
     if head.in_dim != model.config.embedding_dim:
         raise ArgumentError(f"head expects dim {head.in_dim}, "
                             f"extractor emits {model.config.embedding_dim}")
-    model.head = head.copy()
-    return model
+    extractor = model.vector[:model.vector.size - model.head.vector.size]
+    return E2EModel(model.config, head.shapes, np.concatenate([extractor, head.vector]))
 
 
 # ---------------------------------------------------------------------------
@@ -234,20 +216,21 @@ def _extract(model: E2EModel, X: np.ndarray):
     return emb, (layer_inputs, X, pooled)
 
 
-def _extract_backward(model: E2EModel, cache, demb: np.ndarray, grads: dict) -> None:
-    """Accumulate the extractor gradients of one stack (demb is (N, d)) into grads."""
+def _extract_backward(model: E2EModel, stacks, demb: np.ndarray, grads: E2EModel) -> E2EModel:
+    """``grads`` plus the extractor gradients of every stack; demb is d_loss/d_embeddings."""
     cfg = model.config
-    layer_inputs, last, pooled = cache
-    dpooled, dWe, dbe = affine_backward(demb, pooled, model.emb_W)
-    grads["emb.W"] += dWe
-    grads["emb.b"] += dbe
-    dX = stats_pool_backward(dpooled, last, cfg.pooling)
-    for i in reversed(range(len(cfg.layers))):
-        # nothing reads the gradient at the features, layer 0's input
-        dX, dW, db = tdnn_layer_backward(dX, layer_inputs[i], cfg.layers[i].offsets,
-                                         model.tdnn_W[i], model.tdnn_b[i], input_grad=i > 0)
-        grads[f"tdnn{i}.W"] += dW
-        grads[f"tdnn{i}.b"] += db
+    for rows, (layer_inputs, last, pooled) in stacks:
+        dpooled, dWe, dbe = affine_backward(demb[rows], pooled, model.emb_W)
+        grads.emb_W += dWe
+        grads.emb_b += dbe
+        dX = stats_pool_backward(dpooled, last, cfg.pooling)
+        for i in reversed(range(len(cfg.layers))):
+            # nothing reads the gradient at the features, layer 0's input
+            dX, dW, db = tdnn_layer_backward(dX, layer_inputs[i], cfg.layers[i].offsets,
+                                             model.tdnn_W[i], model.tdnn_b[i], input_grad=i > 0)
+            grads.tdnn_W[i] += dW
+            grads.tdnn_b[i] += db
+    return grads
 
 
 def _embed(model: E2EModel, frames: list[np.ndarray], with_cache: bool):
@@ -269,22 +252,17 @@ def _embed(model: E2EModel, frames: list[np.ndarray], with_cache: bool):
     return X, stacks
 
 
-def _model_grads(model: E2EModel, head_grads: dict, stacks, dX: np.ndarray) -> dict:
-    """Head gradients under their checkpoint names plus the extractor's, summed over stacks."""
-    grads = {name: np.zeros_like(v) for name, v in model.to_dict().items()
-             if not name.startswith("head.")}
-    grads.update({f"head.{name}": g for name, g in head_grads.items()})
-    for rows, cache in stacks:
-        _extract_backward(model, cache, dX[rows], grads)
-    return grads
-
-
 def score_trials(model: E2EModel, trials: list[Trial], utts) -> ScoredTrialSet:
     """Embed each utterance of ``utts`` (an UtteranceSet) the trials reference once; score them."""
+    return _scorer(trials, utts)(model)
+
+
+def _scorer(trials: list[Trial], utts):
+    """``score_trials`` of these trials as a function of the model; indexes them once."""
     ids, e_idx, t_idx = pair_index(trials, utts)
-    X, _ = _embed(model, [_frames_of(utts[u].payload) for u in ids], with_cache=False)
-    scores, _ = nplda._head_forward(model.head, X, e_idx, t_idx)
-    return ScoredTrialSet(list(trials), np.atleast_1d(scores))
+    frames, trials = [_frames_of(utts[u].payload) for u in ids], list(trials)
+    return lambda model: ScoredTrialSet(trials, nplda._head_forward(
+        model.head, _embed(model, frames, with_cache=False)[0], e_idx, t_idx)[0])
 
 
 def score_with_grads(model: E2EModel, frames_e, frames_t):
@@ -296,9 +274,9 @@ def score_with_grads(model: E2EModel, frames_e, frames_t):
     """
     X, stacks = _embed(model, [_frames_of(frames_e), _frames_of(frames_t)], with_cache=True)
     scores, head_cache = nplda._head_forward(model.head, X, np.array([0]), np.array([1]))
-    head_grads, dX = nplda._head_backward(model.head, head_cache, np.ones(1))
-    head_grads["theta"] = np.float64(0.0)
-    return float(scores[0]), _model_grads(model, head_grads, stacks, dX)
+    grads = model.zeros()
+    dX = nplda._head_backward(model.head, head_cache, np.ones(1), grads.head)
+    return float(scores[0]), _extract_backward(model, stacks, dX, grads)
 
 
 def min_abs_preactivation(model: E2EModel, frames) -> float:
@@ -322,7 +300,9 @@ def batch_loss_and_grads(model: E2EModel, batch: TrialBatch, cfg: LossConfig):
     frames = [_frames_of(batch.utterances[u].payload) for u in batch.ids]
     X, stacks = _embed(model, frames, with_cache=True)
     loss, head_grads, dX = nplda.stack_loss_and_grads(model.head, X, batch, cfg)
-    return loss, _model_grads(model, head_grads, stacks, dX)
+    grads = model.zeros()
+    grads.head.vector[...] = head_grads.vector
+    return loss, _extract_backward(model, stacks, dX, grads)
 
 
 def train_e2e(
@@ -347,8 +327,9 @@ def train_e2e(
     model and the per-epoch trace.
     """
     has_dev = dev_trials is not None and dev_features is not None
-    dev_score = (lambda m: score_trials(m, dev_trials, dev_features)) if has_dev else None
-    frozen = frozenset(f"tdnn{i}.{s}" for i in range(freeze_prefix) for s in ("W", "b"))
+    dev_score = _scorer(dev_trials, dev_features) if has_dev else None
+    # the first layers lead the parameter vector
+    frozen = slice(model.offsets[2 * freeze_prefix])
     return nplda._fit(model, batches, cfg, epochs, seed, lr, patience,
                       batch_loss_and_grads, dev_score, frozen)
 
@@ -404,7 +385,7 @@ def save_e2e(model: E2EModel, path) -> None:
 
 
 def load_e2e(path) -> E2EModel:
-    return _from_checkpoint(*_load_kind(path, "e2e"))
+    return _load_kind(path, {"e2e": _from_checkpoint})[1]
 
 
 def _from_checkpoint(params: dict[str, np.ndarray], meta: dict[str, str]) -> E2EModel:
@@ -416,4 +397,5 @@ def _from_checkpoint(params: dict[str, np.ndarray], meta: dict[str, str]) -> E2E
         head_lda_dim=int(meta["head_lda_dim"]),
         head_out_dim=int(meta["head_out_dim"]),
     )
-    return _model_from_dict(cfg, params)
+    head = nplda._layout(cfg.embedding_dim, cfg.head_lda_dim, cfg.head_out_dim)
+    return E2EModel(cfg, head).from_dict(params)

@@ -464,7 +464,7 @@ def save_model(model: PldaModel, path) -> None:
 
 
 def load_model(path) -> PldaModel:
-    return _from_checkpoint(*_load_kind(path, "gplda"))
+    return _load_kind(path, {"gplda": _from_checkpoint})[1]
 
 
 def _from_checkpoint(params: dict[str, np.ndarray], meta: dict[str, str]) -> PldaModel:

@@ -8,16 +8,19 @@ finite-difference checks can perturb any input freely.
 Supported operators: affine, unit-length normalization, TDNN layer (temporal
 convolution with ReLU), statistics pooling (mean + stddev or variance), the
 symmetric quadratic scoring layer on row-aligned pairs and on the product of
-two row sets, and the Adam update.
+two row sets, and the Adam update of a model's one parameter vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from collections.abc import Mapping
+from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .errors import ArgumentError, LengthError, OptimizerError, ShapeError
+from .errors import ArgumentError, LengthError, ModelError, OptimizerError, ShapeError
 
 # Regularizers for operations the model definition leaves unspecified at
 # degenerate inputs: zero variance inside stddev pooling, zero-norm vectors
@@ -292,50 +295,114 @@ def quadratic_score_product_backward(dS, A_e, A_t, p, q):
 
 
 # ---------------------------------------------------------------------------
-# Adam
+# parameter vectors and Adam
 # ---------------------------------------------------------------------------
+
+
+class ParamView:
+    """Attribute access to one named view of a ParamVector: a float if 0-d; assigning fills it."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        view = obj.views[self.name]
+        return view if view.ndim else float(view)
+
+    def __set__(self, obj, value):
+        obj.views[self.name][...] = value
+
+
+class ParamVector(Mapping):
+    """Named parameters that are views of one float64 vector: a mapping of name to view.
+
+    ``shapes`` maps each name, in vector order, to its shape (``()`` for a
+    scalar); the i-th name's entries start at ``offsets[i]``, in C order.  A
+    model, its gradients and Adam's moments are vectors of one layout.
+    """
+
+    def __init__(self, shapes: dict[str, tuple[int, ...]], vector: np.ndarray | None = None):
+        self.shapes = shapes
+        self.offsets = list(accumulate(map(math.prod, shapes.values()), initial=0))
+        self.vector = np.zeros(self.offsets[-1]) if vector is None else vector
+        self.views = {name: self.vector[start:end].reshape(shape) for (name, shape), start, end
+                      in zip(shapes.items(), self.offsets, self.offsets[1:])}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.views[name]
+
+    def __iter__(self):
+        return iter(self.views)
+
+    def __len__(self) -> int:
+        return len(self.views)
+
+    @classmethod
+    def _over(cls, shapes: dict[str, tuple[int, ...]], vector: np.ndarray | None = None):
+        """Parameters of this class and layout ``shapes`` whose vector is ``vector``."""
+        params = cls.__new__(cls)
+        ParamVector.__init__(params, shapes, vector)
+        return params
+
+    def like(self, vector: np.ndarray) -> "ParamVector":
+        """Parameters of this kind and layout whose vector is ``vector``."""
+        return self._over(self.shapes, vector)
+
+    def copy(self) -> "ParamVector":
+        return self.like(self.vector.copy())
+
+    def zeros(self) -> "ParamVector":
+        return self.like(np.zeros_like(self.vector))
+
+    def to_dict(self) -> dict[str, np.ndarray]:
+        return dict(self.views)
+
+    def from_dict(self, d: dict[str, np.ndarray]) -> "ParamVector":
+        """Parameters of this layout holding the arrays of ``d``, matched by name and shape."""
+        extra = sorted(d.keys() - self.shapes.keys())
+        if extra:
+            raise ModelError(f"unexpected parameter {extra[0]!r}")
+        out = self.zeros()
+        for name, view in out.views.items():
+            if name not in d:
+                raise ModelError(f"parameter {name!r}: missing, expected shape {view.shape}")
+            if np.shape(d[name]) != view.shape:
+                raise ModelError(f"parameter {name!r}: shape {np.shape(d[name])}, "
+                                 f"expected shape {view.shape}")
+            view[...] = d[name]
+        return out
 
 
 @dataclass
 class AdamState:
-    """Per-parameter moment accumulators plus hyperparameters."""
+    """Adam's moments, vectors of the model's layout, and its hyperparameters."""
 
+    m: np.ndarray
+    v: np.ndarray
     lr: float = 1e-4
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
 
 
-def adam_init(params: dict, lr: float = 1e-4) -> AdamState:
-    state = AdamState(lr=lr)
-    for name, p in params.items():
-        state.m[name] = np.zeros_like(np.asarray(p, dtype=np.float64))
-        state.v[name] = np.zeros_like(np.asarray(p, dtype=np.float64))
-    return state
+def adam_init(params: ParamVector, lr: float = 1e-4) -> AdamState:
+    return AdamState(np.zeros_like(params.vector), np.zeros_like(params.vector), lr=lr)
 
 
-def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
-    """One bias-corrected Adam update; mutates state, returns new params."""
+def adam_step(params: ParamVector, grads: ParamVector, state: AdamState) -> None:
+    """One bias-corrected Adam update of ``params`` and ``state``, in place."""
+    if grads.shapes != params.shapes:
+        raise ShapeError("gradient layout differs from the parameter layout")
+    g, finite = grads.vector, np.isfinite(grads.vector)
+    if not finite.all():
+        bad = list(params)[np.searchsorted(params.offsets, np.argmin(finite), "right") - 1]
+        raise OptimizerError(f"non-finite gradient for parameter {bad!r}")
     state.step += 1
-    t = state.step
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    out = {}
-    for name, p in params.items():
-        g = np.asarray(grads[name], dtype=np.float64)
-        if not np.all(np.isfinite(g)):
-            raise OptimizerError(f"non-finite gradient for parameter {name!r}")
-        if g.shape != np.shape(p):
-            raise ShapeError(f"gradient shape {g.shape} != param shape {np.shape(p)} for {name!r}")
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        out[name] = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return out
+    bc1, bc2 = 1.0 - state.beta1**state.step, 1.0 - state.beta2**state.step
+    state.m[...] = state.beta1 * state.m + (1.0 - state.beta1) * g
+    state.v[...] = state.beta2 * state.v + (1.0 - state.beta2) * g * g
+    params.vector -= state.lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + state.eps)
 
 
 # ---------------------------------------------------------------------------

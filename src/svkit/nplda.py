@@ -20,7 +20,6 @@ sides of each trial and score the row-aligned pairs.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +29,7 @@ from .data import ScoredTrialSet, Trial, UtteranceSet, _write_lines, pair_index
 from .errors import (
     ArgumentError,
     BatchCompositionError,
+    ModelError,
     NumericalError,
     ShapeError,
     StateError,
@@ -37,6 +37,8 @@ from .errors import (
 from .gplda import PldaModel
 from .metrics import DcfWeights, evaluate, min_dcf
 from .nn import (
+    ParamVector,
+    ParamView,
     adam_init,
     adam_step,
     affine,
@@ -78,50 +80,29 @@ class LossConfig:
             raise ArgumentError("warping factor alpha must be > 0")
 
 
-@dataclass
-class NpldaParams:
-    """Backend parameters: two affines, diagonal quadratic, and threshold."""
+class NpldaParams(ParamVector):
+    """Backend parameters: two affines, diagonal quadratic, and threshold.
 
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
-    k: float
-    theta: float = 0.0
+    Each is a view of one vector, laid out by ``_layout``; k and theta are 0-d.
+    """
 
-    def to_dict(self) -> dict[str, np.ndarray]:
-        return {
-            "W1": self.W1,
-            "b1": self.b1,
-            "W2": self.W2,
-            "b2": self.b2,
-            "p": self.p,
-            "q": self.q,
-            "k": np.float64(self.k),
-            "theta": np.float64(self.theta),
-        }
+    W1, b1, W2, b2 = ParamView("W1"), ParamView("b1"), ParamView("W2"), ParamView("b2")
+    p, q, k, theta = ParamView("p"), ParamView("q"), ParamView("k"), ParamView("theta")
 
-    @staticmethod
-    def from_dict(d: dict[str, np.ndarray]) -> "NpldaParams":
-        return NpldaParams(
-            W1=np.asarray(d["W1"], dtype=np.float64),
-            b1=np.asarray(d["b1"], dtype=np.float64),
-            W2=np.asarray(d["W2"], dtype=np.float64),
-            b2=np.asarray(d["b2"], dtype=np.float64),
-            p=np.asarray(d["p"], dtype=np.float64),
-            q=np.asarray(d["q"], dtype=np.float64),
-            k=float(d["k"]),
-            theta=float(d["theta"]),
-        )
-
-    def copy(self) -> "NpldaParams":
-        return copy.deepcopy(self)
+    def __init__(self, W1, b1, W2, b2, p, q, k, theta=0.0):
+        (lda_dim, in_dim), out_dim = np.shape(W1), len(W2)
+        super().__init__(_layout(in_dim, lda_dim, out_dim), np.concatenate(
+            [np.ravel(a) for a in (W1, b1, W2, b2, p, q, k, theta)], dtype=np.float64))
 
     @property
     def in_dim(self) -> int:
         return self.W1.shape[1]
+
+
+def _layout(in_dim: int, lda_dim: int, out_dim: int) -> dict[str, tuple[int, ...]]:
+    """Names and shapes of a backend's parameters, in vector order."""
+    return {"W1": (lda_dim, in_dim), "b1": (lda_dim,), "W2": (out_dim, lda_dim),
+            "b2": (out_dim,), "p": (out_dim,), "q": (out_dim,), "k": (), "theta": ()}
 
 
 def init_from_gplda(model: PldaModel, dev_scores: ScoredTrialSet | None = None,
@@ -143,16 +124,8 @@ def init_from_gplda(model: PldaModel, dev_scores: ScoredTrialSet | None = None,
     theta = 0.0
     if dev_scores is not None:
         _, theta = min_dcf(dev_scores, weights or DcfWeights())
-    return NpldaParams(
-        W1=model.chain.lda.copy(),
-        b1=-model.chain.lda @ model.chain.mean,
-        W2=model.V.T.copy(),
-        b2=-model.V.T @ model.center,
-        p=model.p.copy(),
-        q=model.q.copy(),
-        k=model.k,
-        theta=theta,
-    )
+    return NpldaParams(model.chain.lda, -model.chain.lda @ model.chain.mean, model.V.T,
+                       -model.V.T @ model.center, model.p, model.q, model.k, theta)
 
 
 def init_random(in_dim: int, lda_dim: int, out_dim: int, seed: int) -> NpldaParams:
@@ -168,16 +141,8 @@ def init_random(in_dim: int, lda_dim: int, out_dim: int, seed: int) -> NpldaPara
     rng = np.random.default_rng(seed)
     W1 = np.linalg.qr(rng.standard_normal((in_dim, lda_dim)))[0].T
     W2 = np.linalg.qr(rng.standard_normal((lda_dim, out_dim)))[0].T
-    return NpldaParams(
-        W1=W1,
-        b1=np.zeros(lda_dim),
-        W2=W2,
-        b2=np.zeros(out_dim),
-        p=0.5 * np.ones(out_dim),
-        q=-0.25 * np.ones(out_dim),
-        k=0.0,
-        theta=0.0,
-    )
+    return NpldaParams(W1, np.zeros(lda_dim), W2, np.zeros(out_dim),
+                       np.full(out_dim, 0.5), np.full(out_dim, -0.25), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +162,18 @@ def forward(params: NpldaParams, eta_e: np.ndarray, eta_t: np.ndarray):
 
 def score_trials(params: NpldaParams, trials: list[Trial], embeddings: UtteranceSet) -> ScoredTrialSet:
     """Score trials, embedding each referenced utterance exactly once."""
+    return _scorer(trials, embeddings)(params)
+
+
+def _scorer(trials: list[Trial], embeddings: UtteranceSet):
+    """``score_trials`` of these trials as a function of the parameters.
+
+    The trials are indexed and their embeddings stacked once, so a training
+    run scores its development trials every epoch without redoing either.
+    """
     ids, e_idx, t_idx = pair_index(trials, embeddings)
-    scores, _ = _head_forward(params, embeddings.embedding_matrix(ids), e_idx, t_idx)
-    return ScoredTrialSet(list(trials), np.atleast_1d(scores))
+    X, trials = embeddings.embedding_matrix(ids), list(trials)
+    return lambda params: ScoredTrialSet(trials, _head_forward(params, X, e_idx, t_idx)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +232,9 @@ def _head_forward(params: NpldaParams, X: np.ndarray, e_rows: np.ndarray, t_rows
     return scores, (X, h1, z, acts, a_e, a_t, e_rows, t_rows, product)
 
 
-def _head_backward(params: NpldaParams, cache, dscores: np.ndarray):
-    """Gradients of every parameter but theta, and dX, given d_loss/d_scores.
+def _head_backward(params: NpldaParams, cache, dscores: np.ndarray,
+                   grads: NpldaParams) -> np.ndarray:
+    """dX given d_loss/d_scores; writes the gradient of every parameter but theta to ``grads``.
 
     Gradients of the gathered rows are scattered back onto the shared rows
     before the stack backward, so each row of X receives the sum over its
@@ -273,17 +248,9 @@ def _head_backward(params: NpldaParams, cache, dscores: np.ndarray):
     np.add.at(dacts, t_rows, dt)
     dz, dW2, db2 = affine_backward(dacts, z, params.W2)
     dh1 = length_norm_backward(dz, h1)
-    dX, dW1, db1 = affine_backward(dh1, X, params.W1)
-    grads = {
-        "W1": dW1,
-        "b1": db1,
-        "W2": dW2,
-        "b2": db2,
-        "p": dp,
-        "q": dq,
-        "k": np.float64(dk),
-    }
-    return grads, dX
+    dX, grads.W1, grads.b1 = affine_backward(dh1, X, params.W1)
+    grads.W2, grads.b2, grads.p, grads.q, grads.k = dW2, db2, dp, dq, dk
+    return dX
 
 
 def stack_loss_and_grads(params: NpldaParams, X: np.ndarray, batch: TrialBatch, cfg: LossConfig):
@@ -303,8 +270,10 @@ def stack_loss_and_grads(params: NpldaParams, X: np.ndarray, batch: TrialBatch, 
     # the enroll-major label vector of a block, viewed as its label matrix
     labels = batch.labels.reshape(scores.shape)
     loss, dscores, dtheta = soft_dcf_loss(scores, labels, params.theta, cfg)
-    grads, dX = _head_backward(params, cache, dscores)
-    grads["theta"] = np.float64(dtheta if cfg.learn_theta else 0.0)
+    grads = params.zeros()
+    dX = _head_backward(params, cache, dscores, grads)
+    if cfg.learn_theta:
+        grads.theta = dtheta
     return loss, grads, dX
 
 
@@ -351,26 +320,28 @@ def train(
     development minDCF fails to improve for ``patience`` epochs.
     """
     has_dev = dev_trials is not None and dev_embeddings is not None
-    dev_score = (lambda pr: score_trials(pr, dev_trials, dev_embeddings)) if has_dev else None
+    dev_score = _scorer(dev_trials, dev_embeddings) if has_dev else None
     return _fit(params, batches, cfg, epochs, seed, lr, patience,
-                batch_loss_and_grads, dev_score, frozenset())
+                batch_loss_and_grads, dev_score, slice(0))
 
 
-def _fit(model, batches, cfg: LossConfig, epochs: int, seed: int, lr: float,
-         patience: int, loss_and_grads, dev_score, frozen: frozenset[str]):
-    """The Adam loop of `train` and `e2e.train_e2e`, for any model with copy/to_dict/from_dict.
+def _fit(model: ParamVector, batches, cfg: LossConfig, epochs: int, seed: int, lr: float,
+         patience: int, loss_and_grads, dev_score, frozen: slice):
+    """The Adam loop of `train` and `e2e.train_e2e`, updating a copy of ``model`` in place.
 
-    ``loss_and_grads(model, batch, cfg)`` gives a batch's loss and gradients,
-    ``dev_score(model)`` scores the development trials (None without them),
-    and the gradients of the ``frozen`` parameter names are zeroed.
+    ``loss_and_grads(model, batch, cfg)`` gives a batch's loss and its
+    gradients, a ParamVector of the model's layout; ``dev_score(model)``
+    scores the development trials (None without them).  The gradient entries
+    of the parameter vector's ``frozen`` slice are zeroed, so those entries
+    keep their values.
     """
     if not batches:
         raise ArgumentError("no training batches")
     rng = np.random.default_rng(seed)
     current = model.copy()
-    state = adam_init(current.to_dict(), lr=lr)
-
-    best = current.copy()
+    state = adam_init(current, lr=lr)
+    # updated in place, ``current`` is the result when no development set picks one
+    best = current if dev_score is None else current.copy()
     best_cost = np.inf if dev_score is None else evaluate(dev_score(current), cfg.weights).min_dcf
     since_improved = 0
     trace: list[TraceRow] = []
@@ -384,9 +355,8 @@ def _fit(model, batches, cfg: LossConfig, epochs: int, seed: int, lr: float,
                 raise NumericalError(
                     f"non-finite loss in epoch {epoch}, batch {batch.tag or int(bi)}"
                 )
-            for name in frozen:
-                grads[name] = np.zeros_like(grads[name])
-            current = current.from_dict(adam_step(current.to_dict(), grads, state))
+            grads.vector[frozen] = 0.0
+            adam_step(current, grads, state)
             losses.append(loss)
         if dev_score is not None:
             report = evaluate(dev_score(current), cfg.weights)
@@ -403,8 +373,6 @@ def _fit(model, batches, cfg: LossConfig, epochs: int, seed: int, lr: float,
         else:
             dev_e, dev_c = float("nan"), float("nan")
         trace.append(TraceRow(epoch, float(np.mean(losses)), dev_e, dev_c))
-    if dev_score is None:
-        best = current
     return best, trace
 
 
@@ -418,4 +386,13 @@ def save_nplda(params: NpldaParams, path) -> None:
 
 
 def load_nplda(path) -> NpldaParams:
-    return NpldaParams.from_dict(_load_kind(path, "nplda")[0])
+    return _load_kind(path, {"nplda": _from_checkpoint})[1]
+
+
+def _from_checkpoint(params: dict[str, np.ndarray], meta: dict[str, str]) -> NpldaParams:
+    """The backend saved as ``params``; W1 and p give its dimensions."""
+    try:
+        (lda_dim, in_dim), (out_dim,) = np.shape(params["W1"]), np.shape(params["p"])
+    except (KeyError, ValueError):
+        raise ModelError("parameters W1 (a matrix) and p (a vector) give the layout") from None
+    return NpldaParams._over(_layout(in_dim, lda_dim, out_dim)).from_dict(params)

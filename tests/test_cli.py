@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from svkit import cli, data, e2e, gplda, metrics, nplda
-from svkit.checkpoint import load_params
+from svkit.checkpoint import load_params, save_params
 
 
 def run(args):
@@ -242,8 +242,17 @@ class TestLoadTimeErrors:
          "simulate --config {tmp}/exp.ini --out {tmp}/o", "{tmp}/exp.ini:1: "),
         ({"exp.ini": "[simulate]\nseed = 5\n\nseed = 6\n"},
          "simulate --config {tmp}/exp.ini --out {tmp}/o", "{tmp}/exp.ini:4: "),
+        ({"s.scores": "a b 1.0\nc d 0.0\ne f 2.0\n",
+          "key.trials": "# key\na b target\nc d nontarget\n\ne f target\na b nontarget\n"},
+         "evaluate --scores {tmp}/s.scores --key {tmp}/key.trials",
+         "{tmp}/key.trials:6: repeated pair a b"),
+        ({"s.scores": "a b 1.0\nc d 0.0\nc d 0.0\ne f 2.0\n",
+          "key.trials": "a b target\nc d nontarget\ne f target\n"},
+         "evaluate --scores {tmp}/s.scores --key {tmp}/key.trials",
+         "{tmp}/s.scores:3: repeated pair c d"),
     ], ids=["e2e-layer-fields", "tier-lengths", "simulate-kind", "boolean-word", "sampler-algo",
-            "unlabelled-key", "no-section-header", "option-set-twice"])
+            "unlabelled-key", "no-section-header", "option-set-twice", "repeated-key-pair",
+            "repeated-score-line"])
     def test_error_names_its_key_or_line(self, emb_workspace, tmp_path, capsys, files, argv,
                                          named):
         fill = {"tmp": tmp_path, "data": emb_workspace[2]}
@@ -270,6 +279,48 @@ class TestLoadTimeErrors:
         assert code == 1
         assert "[loss] learn_theta = 'ture'" in capsys.readouterr().err
         assert not (tmp_path / "model.nplda").exists()
+
+
+class TestCheckpointLayout:
+    """A checkpoint whose parameters do not fit its kind's layout fails at load, naming the
+    file and the parameter."""
+
+    def score(self, ck, out, kind):
+        files = "embeddings" if kind == "nplda" else "features"
+        return run(["score", "--model", str(ck), "--trials", str(out / "dev.trials"),
+                    "--data", str(out / f"dev.{files}"), "--out", str(ck) + ".scores"])
+
+    @pytest.mark.parametrize("change, named", [
+        (lambda p: p.pop("q"), "parameter 'q': missing, expected shape (2,)"),
+        (lambda p: p.update(W2=np.zeros((2, 4))),
+         "parameter 'W2': shape (2, 4), expected shape (2, 3)"),
+        (lambda p: p.pop("W1"), "parameters W1 (a matrix) and p (a vector) give the layout"),
+    ], ids=["missing-q", "W2-shape", "missing-W1"])
+    def test_nplda(self, emb_workspace, tmp_path, capsys, change, named):
+        params = nplda.init_random(10, 3, 2, seed=0).to_dict()
+        change(params)
+        ck = tmp_path / "bad.nplda"
+        save_params(ck, params, {"kind": "nplda"})
+        assert self.score(ck, emb_workspace[2], "nplda") == 1
+        assert f"{ck}: {named}" in capsys.readouterr().err
+        assert not (tmp_path / "bad.nplda.scores").exists()
+
+    @pytest.mark.parametrize("change, named", [
+        (lambda p: p.update({"tdnn2.W": np.zeros((16, 47))}),
+         "parameter 'tdnn2.W': shape (16, 47), expected shape (16, 48)"),
+        (lambda p: p.pop("head.theta"), "parameter 'head.theta': missing, expected shape ()"),
+        (lambda p: p.update({"tdnn5.W": np.zeros(1)}), "unexpected parameter 'tdnn5.W'"),
+    ], ids=["tdnn2-shape", "missing-theta", "extra-layer"])
+    def test_e2e(self, feat_workspace, tmp_path, capsys, change, named):
+        good = tmp_path / "good.e2e"
+        e2e.save_e2e(e2e.init_e2e(e2e.desk_config(4), seed=0), good)
+        params, meta = load_params(good)
+        assert self.score(good, feat_workspace[2], "e2e") == 0
+        change(params)
+        ck = tmp_path / "bad.e2e"
+        save_params(ck, params, meta)
+        assert self.score(ck, feat_workspace[2], "e2e") == 1
+        assert f"{ck}: {named}" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

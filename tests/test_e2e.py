@@ -295,6 +295,19 @@ class TestTraining:
         assert np.array_equal(model.tdnn_W[0], best.tdnn_W[0])
         assert not np.array_equal(model.tdnn_W[1], best.tdnn_W[1])
 
+    @pytest.mark.parametrize("freeze", [1, 2])
+    def test_frozen_slice_is_bit_identical(self, freeze):
+        # the first layers lead the parameter vector: their whole slice keeps its bits
+        rng = np.random.default_rng(23)
+        model = e2e.init_e2e(tiny_config(), seed=24)
+        start = model.vector.copy()
+        best, _ = e2e.train_e2e(model, [tiny_batch(rng)], nplda.LossConfig(alpha=2.0),
+                                epochs=3, seed=25, lr=1e-2, freeze_prefix=freeze)
+        n = sum(model[f"tdnn{i}.{p}"].size for i in range(freeze) for p in "Wb")
+        assert np.array_equal(best.vector[:n].view(np.int64), start[:n].view(np.int64))
+        assert not np.array_equal(best.vector[n:], start[n:])
+        assert np.array_equal(model.vector, start)
+
     def test_head_init_from_nplda_matches_backend_at_step_zero(self):
         # scoring embeddings with the backend equals scoring features with
         # the e2e model whose head was initialized from that backend
@@ -322,6 +335,56 @@ class TestTraining:
         head = nplda.init_random(7, 4, 3, seed=26)
         with pytest.raises(ArgumentError):
             e2e.init_e2e(tiny_config(), seed=27, head=head)
+
+
+class TestOneVector:
+    """The model's parameters, its gradients and their copies are vectors of one layout."""
+
+    def test_named_parameters_are_views_of_the_vector(self):
+        model = e2e.init_e2e(tiny_config(), seed=26)
+        model.tdnn_W[1][0, 0] = 7.0
+        model.head.theta = 0.25
+        assert model["tdnn1.W"][0, 0] == 7.0
+        assert model.vector[-1] == 0.25 and model["head.theta"] == 0.25
+        assert list(model)[-8:] == [f"head.{n}" for n in ("W1", "b1", "W2", "b2", "p", "q",
+                                                          "k", "theta")]
+        assert np.shares_memory(model.head.vector, model.vector)
+
+    def test_gradients_share_the_layout(self):
+        rng = np.random.default_rng(27)
+        model = e2e.init_e2e(tiny_config(), seed=28)
+        _, grads = e2e.batch_loss_and_grads(model, tiny_batch(rng), nplda.LossConfig())
+        assert grads.shapes == model.shapes and grads.vector.shape == model.vector.shape
+        assert np.shares_memory(grads.head.vector, grads.vector)
+
+    @pytest.mark.parametrize("make", [
+        lambda m: m.copy(),
+        lambda m: m.from_dict(m.to_dict()),
+        lambda m: e2e._with_head(m, m.head),
+        lambda m: e2e._with_head(m, nplda.init_random(4, 2, 2, seed=3)),
+    ], ids=["copy", "from_dict", "with_own_head", "with_new_head"])
+    def test_new_models_share_no_memory(self, make):
+        model = e2e.init_e2e(tiny_config(), seed=29)
+        start = model.vector.copy()
+        other = make(model)
+        assert not np.shares_memory(other.vector, model.vector)
+        other.tdnn_W[0][...] = 0.0
+        other.head.k = 5.0
+        other_start = other.vector.copy()
+        assert np.array_equal(model.vector, start)
+        model.vector += 1.0
+        model.head.theta = 2.0
+        assert np.array_equal(other.vector, other_start)
+
+    def test_with_head_keeps_the_extractor_and_copies_the_head(self):
+        model = e2e.init_e2e(tiny_config(), seed=30)
+        head = nplda.init_random(4, 2, 2, seed=3)
+        warm = e2e._with_head(model, head)
+        for name, value in model.to_dict().items():
+            if not name.startswith("head."):
+                assert np.array_equal(warm[name], value)
+        assert np.array_equal(warm.head.vector, head.vector)
+        assert not np.shares_memory(warm.head.vector, head.vector)
 
 
 class TestMemoryEstimate:

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from svkit import nn
-from svkit.errors import LengthError, OptimizerError, ShapeError
+from svkit.errors import LengthError, ModelError, OptimizerError, ShapeError
 
 N_SEEDS = 20
 GRAD_TOL = 1e-5
@@ -334,38 +336,134 @@ class TestQuadraticScoreProduct:
             nn.quadratic_score_product(np.zeros(e), np.zeros(t), np.zeros(pq), np.zeros(pq), 0.0)
 
 
+def one_vector(**arrays):
+    """A ParamVector holding ``arrays`` in the given order."""
+    return nn.ParamVector({n: np.shape(a) for n, a in arrays.items()}).from_dict(arrays)
+
+
+def reference_adam(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-name Adam update on dicts of arrays; mutates m and v, returns new params."""
+    bc1, bc2 = 1.0 - beta1**t, 1.0 - beta2**t
+    out = {}
+    for name, p in params.items():
+        g = grads[name]
+        m[name] = beta1 * m[name] + (1.0 - beta1) * g
+        v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
+        out[name] = p - lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+    return out
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
-        params = {"w": np.array([1.0, 2.0])}
+        params = one_vector(w=np.array([1.0, 2.0]))
         state = nn.adam_init(params, lr=0.1)
-        out = nn.adam_step(params, {"w": np.zeros(2)}, state)
-        assert np.array_equal(out["w"], params["w"])
+        nn.adam_step(params, params.zeros(), state)
+        assert np.array_equal(params["w"], [1.0, 2.0])
 
     def test_first_step_magnitude(self):
-        params = {"w": np.array([0.0])}
+        params = one_vector(w=np.array([0.0]))
         state = nn.adam_init(params, lr=0.01)
-        out = nn.adam_step(params, {"w": np.array([1.0])}, state)
+        nn.adam_step(params, one_vector(w=np.array([1.0])), state)
         # bias-corrected first step moves by almost exactly lr
-        assert abs(out["w"][0] + 0.01) < 1e-9
+        assert abs(params["w"][0] + 0.01) < 1e-9
 
     def test_deterministic_sequences(self):
         rng = rand(8)
-        grads = [{"w": rng.standard_normal(3)} for _ in range(10)]
+        grads = [one_vector(w=rng.standard_normal(3)) for _ in range(10)]
         outs = []
         for _ in range(2):
-            params = {"w": np.zeros(3)}
+            params = one_vector(w=np.zeros(3))
             state = nn.adam_init(params, lr=0.05)
             for g in grads:
-                params = nn.adam_step(params, g, state)
+                nn.adam_step(params, g, state)
             outs.append(params["w"])
         assert np.array_equal(outs[0], outs[1])
 
     def test_non_finite_gradient_names_param(self):
-        params = {"bad_param": np.zeros(2)}
+        params = one_vector(bad_param=np.zeros(2))
         state = nn.adam_init(params)
         with pytest.raises(OptimizerError) as exc:
-            nn.adam_step(params, {"bad_param": np.array([1.0, np.inf])}, state)
+            nn.adam_step(params, one_vector(bad_param=np.array([1.0, np.inf])), state)
         assert "bad_param" in str(exc.value)
+
+    @pytest.mark.parametrize("bad, value", [("a", np.inf), ("bad_param", np.nan),
+                                            ("b", -np.inf), ("k", np.nan)])
+    def test_non_finite_gradient_named_from_its_slice(self, bad, value):
+        params = one_vector(a=np.zeros((2, 2)), bad_param=np.zeros(2), b=np.zeros(3),
+                            k=np.float64(0.0))
+        grads = params.zeros()
+        grads[bad].reshape(-1)[-1] = value
+        state = nn.adam_init(params)
+        with pytest.raises(OptimizerError) as exc:
+            nn.adam_step(params, grads, state)
+        assert f"parameter {bad!r}" in str(exc.value)
+        # a refused step changes nothing
+        assert state.step == 0 and not params.vector.any() and not state.m.any()
+
+    def test_gradient_layout_must_match(self):
+        params = one_vector(w=np.zeros(3))
+        with pytest.raises(ShapeError):
+            nn.adam_step(params, one_vector(u=np.zeros(3)), nn.adam_init(params))
+
+    def test_bit_identical_to_per_name_adam(self):
+        # matrices, vectors and 0-d scalars in one vector, fifty steps
+        rng = rand(81)
+        start = {"W": rng.standard_normal((4, 3)), "b": rng.standard_normal(4),
+                 "k": np.float64(0.3), "V": rng.standard_normal((2, 5)), "theta": np.float64(-1.0)}
+        params = one_vector(**start)
+        state = nn.adam_init(params, lr=0.01)
+        ref = dict(start)
+        m = {n: np.zeros_like(a) for n, a in ref.items()}
+        v = {n: np.zeros_like(a) for n, a in ref.items()}
+        for t in range(1, 51):
+            g = {n: rng.standard_normal(np.shape(a)) * 10.0 ** rng.integers(-6, 3)
+                 for n, a in ref.items()}
+            nn.adam_step(params, one_vector(**g), state)
+            ref = reference_adam(ref, g, m, v, t, lr=0.01)
+            for n in ref:  # compared bit by bit
+                assert np.array_equal(params[n].view(np.int64),
+                                      np.asarray(ref[n]).view(np.int64)), (t, n)
+
+
+class TestParamVector:
+    def layout(self):
+        return one_vector(W=np.arange(6.0).reshape(2, 3), b=np.array([6.0, 7.0]),
+                          k=np.float64(8.0))
+
+    def test_views_are_slices_of_the_vector(self):
+        params = self.layout()
+        assert np.array_equal(params.vector, np.arange(9.0))
+        params["W"][1, 2] = -1.0
+        assert params.vector[5] == -1.0
+        assert list(params) == ["W", "b", "k"] and params["k"].shape == ()
+
+    @pytest.mark.parametrize("make", [lambda p: p.copy(), lambda p: p.from_dict(p.to_dict()),
+                                      lambda p: p.zeros()])
+    def test_new_vectors_share_no_memory(self, make):
+        params = self.layout()
+        other = make(params)
+        assert not np.shares_memory(other.vector, params.vector)
+        before = params.vector.copy()
+        other.vector += 1.0
+        assert np.array_equal(params.vector, before)
+
+    def test_to_dict_returns_the_views(self):
+        params = self.layout()
+        params.to_dict()["b"][0] = 0.5
+        assert params["b"][0] == 0.5
+
+    @pytest.mark.parametrize("change, named", [
+        (lambda d: d.pop("b"), "parameter 'b': missing, expected shape (2,)"),
+        (lambda d: d.update(c=np.zeros(1)), "unexpected parameter 'c'"),
+        (lambda d: d.update(W=np.zeros((3, 2))), "'W': shape (3, 2), expected shape (2, 3)"),
+        (lambda d: d.update(k=np.zeros(1)), "'k': shape (1,), expected shape ()"),
+    ], ids=["missing", "unexpected", "transposed", "scalar"])
+    def test_from_dict_checks_names_and_shapes(self, change, named):
+        params = self.layout()
+        d = params.to_dict()
+        change(d)
+        with pytest.raises(ModelError, match=re.escape(named)):
+            params.from_dict(d)
 
 
 class TestGradCheck:

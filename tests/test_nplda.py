@@ -355,6 +355,29 @@ class TestBestDevContract:
         assert dev_cost(best) == min(costs)
 
 
+class TestOneVector:
+    @pytest.mark.parametrize("make", [lambda p: p.copy(), lambda p: p.from_dict(p.to_dict())],
+                             ids=["copy", "from_dict"])
+    def test_copies_share_no_memory(self, make):
+        params = nplda.init_random(6, 4, 3, seed=31)
+        start = params.vector.copy()
+        other = make(params)
+        other.W1[...] = 0.0
+        other.theta = 3.0
+        assert np.array_equal(params.vector, start)
+        assert np.array_equal(make(params).vector, start)
+
+    def test_attributes_are_views_in_constructor_order(self):
+        params = nplda.init_random(6, 4, 3, seed=32)
+        params.k, params.theta = 1.5, -0.5
+        assert isinstance(params.k, float) and params.k == 1.5
+        assert list(params) == ["W1", "b1", "W2", "b2", "p", "q", "k", "theta"]
+        assert params.vector[-2:].tolist() == [1.5, -0.5]
+        params.p = np.arange(3.0)
+        assert np.array_equal(params["p"], np.arange(3.0))
+        assert params.vector.size == 4 * 6 + 4 + 3 * 4 + 3 * 3 + 2
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path, fitted):
         model, dev, trials = fitted

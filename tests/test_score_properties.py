@@ -1,5 +1,10 @@
 """Properties of the three scorers and of the hard metrics, on random inputs."""
 
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,7 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from svkit import data, e2e, gplda, metrics, nplda  # noqa: E402
+from svkit import cli, data, e2e, gplda, metrics, nplda  # noqa: E402
 
 SEEDS = st.integers(0, 2**31 - 1)
 
@@ -129,3 +134,27 @@ def test_one_sweep_serves_every_metric(scores, data_, weights):
         np.mean([metrics.min_dcf(scored, w)[0] for w in OPERATING_POINTS]))
     assert report.min_dcf_avg == report.min_dcf
     assert metrics.eer(scored) == pytest.approx(_staircase_eer(scores, labels), abs=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(scores=st.lists(st.integers(-4, 4), min_size=2, max_size=30), data_=st.data())
+def test_evaluate_ignores_line_order(scores, data_):
+    # the key and the score file each in two random line orders: one printed report
+    n = len(scores)
+    labels = data_.draw(st.lists(st.booleans(), min_size=n, max_size=n)
+                        .filter(lambda ys: any(ys) and not all(ys)), label="labels")
+    key = [f"e{i} t{i} {data.TARGET if y else data.NONTARGET}\n" for i, y in enumerate(labels)]
+    lines = [f"e{i} t{i} {s}\n" for i, s in enumerate(scores)]
+    reports = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for k in range(2):
+            order = data_.draw(st.permutations(range(n)), label="key order")
+            (Path(tmp) / "key").write_text("".join(key[i] for i in order))
+            order = data_.draw(st.permutations(range(n)), label="score order")
+            (Path(tmp) / "scores").write_text("".join(lines[i] for i in order))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["evaluate", "--scores", f"{tmp}/scores", "--key", f"{tmp}/key",
+                                 "--extra-p-target", "0.5"]) == 0
+            reports.append((out.getvalue(), (Path(tmp) / "scores.metrics.csv").read_text()))
+    assert reports[0] == reports[1]
