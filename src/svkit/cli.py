@@ -23,7 +23,7 @@ from . import metrics as metrics_mod
 from . import nplda as nplda_mod
 from . import sampling
 from .checkpoint import _load_kind
-from .errors import ArgumentError, ConfigError, LengthError, SvkitError
+from .errors import ArgumentError, ConfigError, DimensionError, LengthError, SvkitError
 from .nn import POOL_STDDEV, POOL_VARIANCE
 
 
@@ -388,13 +388,28 @@ def _e2e_model(cfg: Config, args, seed: int) -> e2e_mod.E2EModel:
     return model
 
 
-def _check_frames(model: e2e_mod.E2EModel, utts, path) -> None:
-    """Fail unless every utterance read from ``path`` is long enough for the extractor."""
-    need = model.config.min_frames
-    for u in utts:
-        if u.payload.num_frames < need:
-            raise LengthError(f"{path}: utterance {u.id} has {u.payload.num_frames} frames, "
-                              f"extractor needs min_frames = {need}")
+def _check_inputs(files, in_dim: int, min_frames: int = 0) -> None:
+    """Fail unless every (path, UtteranceSet) of ``files`` has the model's input dim ``in_dim``
+    and, for an extractor, no utterance shorter than ``min_frames``."""
+    for path, utts in files:
+        if utts.dim not in (None, in_dim):
+            raise DimensionError(f"{path}: data has dim {utts.dim}, the model takes dim {in_dim}")
+        for u in utts if min_frames else ():
+            if u.payload.num_frames < min_frames:
+                raise LengthError(f"{path}: utterance {u.id} has {u.payload.num_frames} frames, "
+                                  f"extractor needs min_frames = {min_frames}")
+
+
+def _read_key(path, both_classes: bool = True) -> list[dm.Trial]:
+    """The trials of ``path``, which must all be labelled and, with ``both_classes``, hold both."""
+    trials = dm.read_trials(path)
+    bad = next((t for t in trials if t.label is None), None)
+    if bad is not None:
+        raise ArgumentError(f"{path}: trial {bad.enroll_id} {bad.test_id} has no label")
+    if both_classes and not 0 < (n_tgt := sum(t.is_target for t in trials)) < len(trials):
+        raise ArgumentError(f"{path}: needs target and nontarget trials, has {n_tgt} target "
+                            f"and {len(trials) - n_tgt} nontarget")
+    return trials
 
 
 def cmd_train(args) -> int:
@@ -410,10 +425,12 @@ def cmd_train(args) -> int:
     dev_path = cfg.get("data", f"dev_{files}", default="")
     trials_path = cfg.get("data", "dev_trials", default="")
     train_set = read(train_path)
-    dev_set, dev_trials = ((read(dev_path), dm.read_trials(trials_path))
+    dev_set, dev_trials = ((read(dev_path), _read_key(trials_path))
                            if dev_path and trials_path else (None, None))
+    inputs = [(train_path, train_set)] + ([(dev_path, dev_set)] if dev_set is not None else [])
 
     if args.kind == "gplda":
+        _check_inputs(inputs, train_set.dim)
         latent = cfg.get("gplda", "latent_dim").strip()
         chain = gplda_mod.fit_preprocess(train_set, target_dim=cfg.getint("gplda", "lda_dim"))
         best = gplda_mod.em_fit(
@@ -425,6 +442,7 @@ def cmd_train(args) -> int:
     else:
         if args.kind == "nplda":
             gplda_model = gplda_mod.load_model(args.init)
+            _check_inputs(inputs, gplda_model.in_dim)
             dev_scored = (None if dev_set is None
                           else gplda_mod.score_trials(gplda_model, dev_trials, dev_set))
             model = nplda_mod.init_from_gplda(gplda_model, dev_scored, weights)
@@ -432,8 +450,7 @@ def cmd_train(args) -> int:
             row = ("nplda", "-", os.path.basename(args.init))
         else:
             model = _e2e_model(cfg, args, seed)
-            for path, utts in ((train_path, train_set), (dev_path, dev_set or ())):
-                _check_frames(model, utts, path)
+            _check_inputs(inputs, model.in_dim, model.config.min_frames)
             train, extra = e2e_mod.train_e2e, {"freeze_prefix": cfg.getint("e2e", "freeze_prefix")}
             row = ("e2e", model.config.pooling,
                    os.path.basename(args.extractor or args.init or "random"))
@@ -462,8 +479,8 @@ def cmd_score(args) -> int:
     _, read, _, _, score = _KINDS[kind]
     trials = dm.read_trials(args.trials)
     utts = read(args.data)
-    if kind == "e2e":
-        _check_frames(model, utts, args.data)
+    _check_inputs([(args.data, utts)], model.in_dim,
+                  model.config.min_frames if kind == "e2e" else 0)
     scored = score(model, trials, utts)
     dm.write_scores(scored, args.out)
     print(f"wrote {args.out} ({len(scored)} trials)")
@@ -471,13 +488,10 @@ def cmd_score(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    trials = dm.read_trials(args.key)
+    trials = _read_key(args.key, both_classes=False)
     key = {(t.enroll_id, t.test_id): t for t in trials}
     if len(key) < len(trials):
         raise dm._repeated_pair(args.key)
-    bad = next((t for t in key.values() if t.label is None), None)
-    if bad is not None:
-        raise ArgumentError(f"{args.key}: trial {bad.enroll_id} {bad.test_id} has no label")
     rows = dm.read_scores(args.scores)
     unkeyed = [(e, t) for e, t, _ in rows if (e, t) not in key]
     if unkeyed:

@@ -192,9 +192,9 @@ class UtteranceSet:
         return utt_id in self._by_id
 
     def embedding_matrix(self, ids: list[str] | None = None) -> np.ndarray:
-        """Stack embedding payloads into an (n, D) matrix."""
+        """Stack embedding payloads into an (n, D) matrix; n may be 0."""
         utts = self.utterances if ids is None else [self[i] for i in ids]
-        return np.stack([u.payload.vector for u in utts])
+        return np.stack([u.payload.vector for u in utts]) if utts else np.empty((0, self.dim or 0))
 
     def speaker_labels(self) -> list[str]:
         return [u.speaker_id for u in self.utterances]

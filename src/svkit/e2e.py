@@ -150,6 +150,10 @@ class E2EModel(ParamVector):
         self.emb_W, self.emb_b = self.views["emb.W"], self.views["emb.b"]
         self.head = NpldaParams._over(head, self.vector[self.offsets[len(shapes)]:])
 
+    @property
+    def in_dim(self) -> int:
+        return self.config.layers[0].in_dim
+
     def like(self, vector: np.ndarray) -> "E2EModel":
         return E2EModel(self.config, self.head.shapes, vector)
 
@@ -299,9 +303,8 @@ def batch_loss_and_grads(model: E2EModel, batch: TrialBatch, cfg: LossConfig):
     """Soft-DCF loss and gradients for the whole model on one batch."""
     frames = [_frames_of(batch.utterances[u].payload) for u in batch.ids]
     X, stacks = _embed(model, frames, with_cache=True)
-    loss, head_grads, dX = nplda.stack_loss_and_grads(model.head, X, batch, cfg)
     grads = model.zeros()
-    grads.head.vector[...] = head_grads.vector
+    loss, dX = nplda.stack_loss_and_grads(model.head, X, batch, cfg, grads.head)
     return loss, _extract_backward(model, stacks, dX, grads)
 
 

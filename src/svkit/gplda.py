@@ -32,7 +32,7 @@ import scipy.linalg
 from . import nn
 from .checkpoint import _load_kind, save_params
 from .data import ScoredTrialSet, Trial, UtteranceSet, pair_index
-from .errors import ArgumentError, NumericalError
+from .errors import ArgumentError, ModelError, NumericalError
 from .nn import quadratic_score
 
 DEFAULT_LDA_DIM = 170
@@ -89,6 +89,10 @@ class PldaModel:
     @property
     def dim(self) -> int:
         return self.sigma_wc.shape[0]
+
+    @property
+    def in_dim(self) -> int:
+        return self.chain.lda.shape[1]
 
     def transform(self, processed: np.ndarray) -> np.ndarray:
         """Map processed embeddings into the diagonalized scoring space."""
@@ -400,12 +404,12 @@ def score_pairs(model: PldaModel, raw_e: np.ndarray, raw_t: np.ndarray) -> np.nd
 
 
 def score_pairs_dense(model: PldaModel, raw_e: np.ndarray, raw_t: np.ndarray) -> np.ndarray:
-    """Same scores through the dense textbook matrices (consistency path)."""
+    """Same scores from the dense textbook matrices: (e'Qe + t'Qt + 2e'Pt) / 2 + k (oracle)."""
     form = derive_pq(model)
-    e = model.chain.apply(raw_e) - model.center
-    t = model.chain.apply(raw_t) - model.center
-    full = quadratic_score(e, t, form.P, form.Q, 0.0)
-    return np.atleast_1d(0.5 * np.asarray(full, dtype=np.float64) + model.k)
+    e = np.atleast_2d(model.chain.apply(raw_e) - model.center)
+    t = np.atleast_2d(model.chain.apply(raw_t) - model.center)
+    full = np.sum((e @ form.Q) * e + (t @ form.Q) * t + 2.0 * (e @ form.P) * t, axis=-1)
+    return 0.5 * full + model.k
 
 
 def score_trials(model: PldaModel, trials: list[Trial], embeddings: UtteranceSet) -> ScoredTrialSet:
@@ -449,18 +453,18 @@ def llr_oracle(model: PldaModel, raw_e: np.ndarray, raw_t: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-# the PldaModel arrays a checkpoint stores, in file order after the chain's mean and lda
-_SAVED = ("center", "sigma_ac", "sigma_wc", "V", "psi", "p", "q")
+def _layout(dim: int, in_dim: int) -> dict[str, tuple[int, ...]]:
+    """Names and shapes of a checkpoint's arrays, in file order, given the LDA's shape."""
+    return {"mean": (in_dim,), "lda": (dim, in_dim), "center": (dim,), "sigma_ac": (dim, dim),
+            "sigma_wc": (dim, dim), "V": (dim, dim), "psi": (dim,), "p": (dim,), "q": (dim,),
+            "k": ()}
 
 
 def save_model(model: PldaModel, path) -> None:
-    params = {"mean": model.chain.mean, "lda": model.chain.lda,
-              **{name: getattr(model, name) for name in _SAVED}, "k": np.float64(model.k)}
-    meta = {
-        "kind": "gplda",
-        "length_norm": "1" if model.chain.apply_length_norm else "0",
-    }
-    save_params(path, params, meta)
+    fields = {**vars(model.chain), **vars(model)}
+    params = {name: fields[name] for name in _layout(*model.chain.lda.shape)}
+    save_params(path, params,
+                {"kind": "gplda", "length_norm": str(int(model.chain.apply_length_norm))})
 
 
 def load_model(path) -> PldaModel:
@@ -468,9 +472,12 @@ def load_model(path) -> PldaModel:
 
 
 def _from_checkpoint(params: dict[str, np.ndarray], meta: dict[str, str]) -> PldaModel:
-    chain = PreprocessChain(
-        mean=params["mean"],
-        lda=params["lda"],
-        apply_length_norm=meta.get("length_norm", "1") == "1",
-    )
-    return PldaModel(chain=chain, k=float(params["k"]), **{name: params[name] for name in _SAVED})
+    """The model saved as ``params``; lda's (L, D) gives every other shape."""
+    try:
+        dim, in_dim = np.shape(params["lda"])
+    except (KeyError, ValueError):
+        raise ModelError("parameter lda (a matrix) gives the layout") from None
+    arrays = dict(nn.ParamVector(_layout(dim, in_dim)).from_dict(params))
+    chain = PreprocessChain(arrays.pop("mean"), arrays.pop("lda"),
+                            apply_length_norm=meta.get("length_norm", "1") == "1")
+    return PldaModel(chain=chain, k=float(arrays.pop("k")), **arrays)

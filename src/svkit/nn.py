@@ -7,8 +7,9 @@ finite-difference checks can perturb any input freely.
 
 Supported operators: affine, unit-length normalization, TDNN layer (temporal
 convolution with ReLU), statistics pooling (mean + stddev or variance), the
-symmetric quadratic scoring layer on row-aligned pairs and on the product of
-two row sets, and the Adam update of a model's one parameter vector.
+symmetric quadratic scoring layer with diagonal P and Q on row-aligned pairs
+and on the product of two row sets, and the Adam update of a model's one
+parameter vector.  The dense form is the oracle ``gplda.score_pairs_dense``.
 """
 
 from __future__ import annotations
@@ -191,65 +192,39 @@ def stats_pool_backward(dout: np.ndarray, X: np.ndarray, mode: str = POOL_STDDEV
 # ---------------------------------------------------------------------------
 
 
-def quadratic_score(eta_e, eta_t, P, Q, k: float):
-    """s = eta_e' Q eta_e + eta_t' Q eta_t + 2 eta_e' P eta_t + k.
+def quadratic_score(eta_e, eta_t, p, q, k: float):
+    """s = eta_e' Q eta_e + eta_t' Q eta_t + 2 eta_e' P eta_t + k with diagonal P and Q.
 
-    P and Q may be dense symmetric matrices or 1-D arrays holding their
-    diagonals.  Inputs may be single vectors or (N, D) batches; the result
-    is a scalar or an (N,) score vector accordingly.
+    p and q hold the diagonals of P and Q.  Inputs may be single vectors or
+    (N, D) batches; the result is a scalar or an (N,) score vector accordingly.
     """
     eta_e = np.asarray(eta_e, dtype=np.float64)
     eta_t = np.asarray(eta_t, dtype=np.float64)
-    P = np.asarray(P, dtype=np.float64)
-    Q = np.asarray(Q, dtype=np.float64)
     if eta_e.shape != eta_t.shape:
         raise ShapeError(f"pair shapes differ: {eta_e.shape} vs {eta_t.shape}")
     d = eta_e.shape[-1]
-    if P.shape != Q.shape or P.shape not in ((d,), (d, d)):
-        raise ShapeError(f"P/Q shapes {P.shape}/{Q.shape} do not match dim {d}")
-    if P.ndim == 1:
-        s = (
-            np.sum(eta_e * eta_e * Q, axis=-1)
-            + np.sum(eta_t * eta_t * Q, axis=-1)
-            + 2.0 * np.sum(eta_e * eta_t * P, axis=-1)
-            + k
-        )
-    else:
-        s = (
-            np.sum((eta_e @ Q) * eta_e, axis=-1)
-            + np.sum((eta_t @ Q) * eta_t, axis=-1)
-            + 2.0 * np.sum((eta_e @ P) * eta_t, axis=-1)
-            + k
-        )
+    if np.shape(p) != (d,) or np.shape(q) != (d,):
+        raise ShapeError(f"p/q shapes {np.shape(p)}/{np.shape(q)} do not match dim {d}")
+    s = (np.sum(eta_e * eta_e * q, axis=-1) + np.sum(eta_t * eta_t * q, axis=-1)
+         + 2.0 * np.sum(eta_e * eta_t * p, axis=-1) + k)
     return float(s) if eta_e.ndim == 1 else s
 
 
-def quadratic_score_backward(ds, eta_e, eta_t, P, Q):
-    """Gradients (d_eta_e, d_eta_t, dP, dQ, dk) for quadratic_score.
+def quadratic_score_backward(ds, eta_e, eta_t, p, q):
+    """Gradients (d_eta_e, d_eta_t, dp, dq, dk) for quadratic_score.
 
     ds is the upstream gradient: a scalar for vector inputs, an (N,) array
     for batched pairs (parameter gradients are then summed over the batch).
     """
     eta_e = np.asarray(eta_e, dtype=np.float64)
     eta_t = np.asarray(eta_t, dtype=np.float64)
-    P = np.asarray(P, dtype=np.float64)
-    Q = np.asarray(Q, dtype=np.float64)
-    if eta_e.ndim == 1:
-        de, dt, dP, dQ, dk = quadratic_score_backward([ds], eta_e[None], eta_t[None], P, Q)
-        return de[0], dt[0], dP, dQ, dk
-    ds = np.asarray(ds, dtype=np.float64)[:, None]
-    if P.ndim == 1:
-        de = ds * (2.0 * eta_e * Q + 2.0 * eta_t * P)
-        dt = ds * (2.0 * eta_t * Q + 2.0 * eta_e * P)
-        dP = np.sum(ds * 2.0 * eta_e * eta_t, axis=0)
-        dQ = np.sum(ds * (eta_e**2 + eta_t**2), axis=0)
-    else:
-        de = ds * (2.0 * eta_e @ Q + 2.0 * eta_t @ P)
-        dt = ds * (2.0 * eta_t @ Q + 2.0 * eta_e @ P)
-        dP = 2.0 * (ds * eta_e).T @ eta_t
-        dQ = (ds * eta_e).T @ eta_e + (ds * eta_t).T @ eta_t
-    dk = float(ds.sum())
-    return de, dt, dP, dQ, dk
+    ds = np.asarray(ds, dtype=np.float64)[..., None]
+    rows = tuple(range(eta_e.ndim - 1))  # the leading axes, none for one vector
+    de = ds * (2.0 * eta_e * q + 2.0 * eta_t * p)
+    dt = ds * (2.0 * eta_t * q + 2.0 * eta_e * p)
+    dp = np.sum(ds * 2.0 * eta_e * eta_t, axis=rows)
+    dq = np.sum(ds * (eta_e**2 + eta_t**2), axis=rows)
+    return de, dt, dp, dq, float(ds.sum())
 
 
 def quadratic_score_product(A_e, A_t, p, q, k: float) -> np.ndarray:

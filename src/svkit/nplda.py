@@ -253,15 +253,16 @@ def _head_backward(params: NpldaParams, cache, dscores: np.ndarray,
     return dX
 
 
-def stack_loss_and_grads(params: NpldaParams, X: np.ndarray, batch: TrialBatch, cfg: LossConfig):
+def stack_loss_and_grads(params: NpldaParams, X: np.ndarray, batch: TrialBatch, cfg: LossConfig,
+                         grads: NpldaParams):
     """Soft-DCF loss over a batch's trials, given one input row per id of ``batch.ids``.
 
     X holds one raw embedding per unique utterance.  A cross-product batch
     (``batch.block``) is scored as its (n_e, n_t) score matrix, with GEMMs;
     any other batch gathers the two sides of each trial by e_idx/t_idx.
-    Returns (loss, parameter grads, dX) where dX is the gradient with respect
-    to the input rows, which lets a front-end extractor continue the
-    backward pass.
+    Writes the parameter gradients into ``grads``, zeroed and of the layout of
+    ``params``, and returns (loss, dX): dX, the gradient with respect to the
+    input rows, lets a front-end extractor continue the backward pass.
     """
     if batch.block is None:
         scores, cache = _head_forward(params, X, batch.e_idx, batch.t_idx)
@@ -270,11 +271,10 @@ def stack_loss_and_grads(params: NpldaParams, X: np.ndarray, batch: TrialBatch, 
     # the enroll-major label vector of a block, viewed as its label matrix
     labels = batch.labels.reshape(scores.shape)
     loss, dscores, dtheta = soft_dcf_loss(scores, labels, params.theta, cfg)
-    grads = params.zeros()
     dX = _head_backward(params, cache, dscores, grads)
     if cfg.learn_theta:
         grads.theta = dtheta
-    return loss, grads, dX
+    return loss, dX
 
 
 def batch_loss_and_grads(params: NpldaParams, batch: TrialBatch, cfg: LossConfig):
@@ -283,7 +283,8 @@ def batch_loss_and_grads(params: NpldaParams, batch: TrialBatch, cfg: LossConfig
     The batch's embedding matrix is stacked on its first step and kept, and
     each utterance in it is embedded once per step.
     """
-    loss, grads, _ = stack_loss_and_grads(params, batch.embeddings, batch, cfg)
+    grads = params.zeros()
+    loss, _ = stack_loss_and_grads(params, batch.embeddings, batch, cfg, grads)
     return loss, grads
 
 

@@ -286,7 +286,7 @@ class TestCheckpointLayout:
     file and the parameter."""
 
     def score(self, ck, out, kind):
-        files = "embeddings" if kind == "nplda" else "features"
+        files = "features" if kind == "e2e" else "embeddings"
         return run(["score", "--model", str(ck), "--trials", str(out / "dev.trials"),
                     "--data", str(out / f"dev.{files}"), "--out", str(ck) + ".scores"])
 
@@ -321,6 +321,29 @@ class TestCheckpointLayout:
         save_params(ck, params, meta)
         assert self.score(ck, feat_workspace[2], "e2e") == 1
         assert f"{ck}: {named}" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("change, named", [
+        (lambda p: p.pop("psi"), "parameter 'psi': missing, expected shape (5,)"),
+        (lambda p: p.update(p=np.zeros(4)), "parameter 'p': shape (4,), expected shape (5,)"),
+        (lambda p: p.pop("lda"), "parameter lda (a matrix) gives the layout"),
+    ], ids=["missing-psi", "p-shape", "missing-lda"])
+    @pytest.mark.parametrize("command", ["score", "train-nplda"])
+    def test_gplda(self, trained_gplda, emb_workspace, tmp_path, capsys, change, named, command):
+        _, cfg, out = emb_workspace
+        params, meta = load_params(trained_gplda)
+        change(params)
+        ck = tmp_path / "bad.gplda"
+        save_params(ck, params, meta)
+        if command == "score":
+            code = self.score(ck, out, "gplda")
+        else:
+            code = run(["train", "nplda", "--config", cfg,
+                        "-O", f"data.train_embeddings={out}/train.embeddings",
+                        "--init", str(ck), "--out", str(tmp_path / "m.nplda")])
+        assert code == 1
+        assert f"{ck}: {named}" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [ck]
 
 
 @pytest.fixture(scope="module")
@@ -743,6 +766,111 @@ class TestE2EModelBuilt:
         err = capsys.readouterr().err
         assert f"{short}: utterance short has 3 frames, extractor needs min_frames = 4" in err
         assert not (tmp_path / "s.txt").exists()
+
+
+def _gplda_of_dim(dim, path):
+    """A gplda checkpoint whose model takes embeddings of ``dim`` values."""
+    chain = gplda.PreprocessChain(np.zeros(dim), np.eye(dim))
+    gplda.save_model(gplda.make_model(np.eye(dim), np.eye(dim), chain=chain), path)
+    return path
+
+
+def _truncated_embeddings(src, dst, dim):
+    utts = data.read_embeddings(src)
+    data.write_embeddings([data.Utterance(u.id, u.speaker_id, u.gender, u.dataset_id,
+                                          data.Embedding(u.payload.vector[:dim]))
+                           for u in utts], dst)
+    return dst
+
+
+class TestInputChecks:
+    """Every data file a command reads must fit the model, and a dev trial list must be
+    labelled with both classes; a command that refuses its input writes nothing."""
+
+    @pytest.mark.parametrize("case", ["train-e2e", "score-e2e", "score-gplda", "train-nplda",
+                                      "train-gplda-dev"])
+    def test_dimension_names_file_and_dims(self, emb_workspace, feat_workspace, tmp_path,
+                                           capsys, case):
+        _, emb_cfg, emb = emb_workspace
+        _, feat_cfg, feat = feat_workspace
+        models = tmp_path / "models"
+        models.mkdir()
+        out = tmp_path / "out"
+        if case == "train-e2e":
+            bad, dims = feat / "train.features", "dim 4, the model takes dim 6"
+            argv = ["train", "e2e", "--config", feat_cfg, "-O", "e2e.layers=6 8 -1 0 1",
+                    "-O", f"data.train_features={bad}"]
+        elif case == "score-e2e":
+            ck = models / "five.e2e"
+            e2e.save_e2e(e2e.init_e2e(e2e.desk_config(5), seed=0), ck)
+            bad, dims = feat / "dev.features", "dim 4, the model takes dim 5"
+            argv = ["score", "--model", str(ck), "--trials", str(feat / "dev.trials"),
+                    "--data", str(bad)]
+        elif case == "score-gplda":
+            ck = _gplda_of_dim(7, models / "seven.gplda")
+            bad, dims = emb / "dev.embeddings", "dim 10, the model takes dim 7"
+            argv = ["score", "--model", str(ck), "--trials", str(emb / "dev.trials"),
+                    "--data", str(bad)]
+        elif case == "train-nplda":
+            ck = _gplda_of_dim(7, models / "seven.gplda")
+            bad, dims = emb / "train.embeddings", "dim 10, the model takes dim 7"
+            argv = ["train", "nplda", "--config", emb_cfg, "--init", str(ck),
+                    "-O", f"data.train_embeddings={bad}",
+                    "-O", f"data.dev_embeddings={emb}/dev.embeddings",
+                    "-O", f"data.dev_trials={emb}/dev.trials"]
+        else:
+            bad = _truncated_embeddings(emb / "dev.embeddings", models / "dev9.embeddings", 9)
+            dims = "dim 9, the model takes dim 10"
+            argv = ["train", "gplda", "--config", emb_cfg,
+                    "-O", f"data.train_embeddings={emb}/train.embeddings",
+                    "-O", f"data.dev_embeddings={bad}", "-O", f"data.dev_trials={emb}/dev.trials"]
+        assert run(argv + ["--out", str(out)]) == 1
+        assert f"{bad}: data has {dims}" in capsys.readouterr().err
+        assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
+
+    @pytest.fixture(scope="class")
+    def checkpoints(self, trained_gplda, tmp_path_factory):
+        root = tmp_path_factory.mktemp("empty")
+        nplda.save_nplda(nplda.init_random(10, 3, 2, seed=0), root / "model.nplda")
+        e2e.save_e2e(e2e.init_e2e(e2e.desk_config(4), seed=0), root / "model.e2e")
+        return {"gplda": trained_gplda, "nplda": root / "model.nplda", "e2e": root / "model.e2e"}
+
+    @pytest.mark.parametrize("kind", ["gplda", "nplda", "e2e"])
+    def test_empty_list_scores_to_empty_file(self, checkpoints, emb_workspace, feat_workspace,
+                                             tmp_path, kind):
+        out = (feat_workspace if kind == "e2e" else emb_workspace)[2]
+        files = "features" if kind == "e2e" else "embeddings"
+        (tmp_path / "empty.trials").write_text("")
+        assert run(["score", "--model", str(checkpoints[kind]), "--trials",
+                    str(tmp_path / "empty.trials"), "--data", str(out / f"dev.{files}"),
+                    "--out", str(tmp_path / "s.scores")]) == 0
+        assert (tmp_path / "s.scores").read_text() == ""
+
+    @pytest.mark.parametrize("trials, named", [
+        ("", "needs target and nontarget trials, has 0 target and 0 nontarget"),
+        ("{a} {b} target\n{a} {c}\n", "trial {a} {c} has no label"),
+        ("{a} {b} target\n{b} {a} target\n",
+         "needs target and nontarget trials, has 2 target and 0 nontarget"),
+        ("{a} {c} nontarget\n", "needs target and nontarget trials, has 0 target and 1 nontarget"),
+    ], ids=["empty", "unlabelled", "targets-only", "nontargets-only"])
+    @pytest.mark.parametrize("kind", ["gplda", "nplda", "e2e"])
+    def test_dev_trials_refused_before_fitting(self, checkpoints, emb_workspace, feat_workspace,
+                                               tmp_path, capsys, kind, trials, named):
+        _, cfg, out = feat_workspace if kind == "e2e" else emb_workspace
+        files = "features" if kind == "e2e" else "embeddings"
+        # the check reads labels alone, so any three dev utterances serve
+        ids = [u.id for u in cli._KINDS[kind][1](out / f"dev.{files}")]
+        fill = dict(zip("abc", ids))
+        bad = tmp_path / "dev.trials"
+        bad.write_text(trials.format(**fill))
+        init = ["--init", str(checkpoints["gplda"])] if kind == "nplda" else []
+        code = run(["train", kind, "--config", cfg, *init,
+                    "-O", f"data.train_{files}={out}/train.{files}",
+                    "-O", f"data.dev_{files}={out}/dev.{files}",
+                    "-O", f"data.dev_trials={bad}", "--out", str(tmp_path / "m.out")])
+        assert code == 1
+        assert f"{bad}: {named.format(**fill)}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [bad]
 
 
 class TestSampleAndMem:

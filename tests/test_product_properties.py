@@ -53,9 +53,10 @@ def test_block_matches_gather(case, alpha, theta):
     params = nplda.init_random(dim, dim - 1, dim - 2, seed=seed)
     params.theta = theta
     cfg = nplda.LossConfig(alpha=alpha)
-    loss, grads, dX = nplda.stack_loss_and_grads(params, batch.embeddings, batch, cfg)
-    want_loss, want_grads, want_dX = nplda.stack_loss_and_grads(
-        params, gather.embeddings, gather, cfg)
+    grads, want_grads = params.zeros(), params.zeros()
+    loss, dX = nplda.stack_loss_and_grads(params, batch.embeddings, batch, cfg, grads)
+    want_loss, want_dX = nplda.stack_loss_and_grads(
+        params, gather.embeddings, gather, cfg, want_grads)
     assert abs(loss - want_loss) <= REL * abs(want_loss)
     assert grads.keys() == want_grads.keys()
     for name in grads:

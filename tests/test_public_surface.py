@@ -7,7 +7,6 @@ import svkit
 
 # name -> why it may have no caller in src/svkit
 UNCALLED = {
-    "data.Trial.is_target": "the per-trial label tests read; data._labels is its vector form",
     "data.chunk_collection": "training on chunks (ROADMAP item 2) gives it a caller",
     "e2e.extract_embedding": "an `svkit extract` command (ROADMAP item 2) gives it a caller",
     "e2e.min_abs_preactivation": "test hook: keeps finite-difference seeds off ReLU kinks",
