@@ -23,7 +23,8 @@ from . import metrics as metrics_mod
 from . import nplda as nplda_mod
 from . import sampling
 from .checkpoint import _load_kind
-from .errors import ArgumentError, ConfigError, DimensionError, LengthError, SvkitError
+from .errors import (ArgumentError, ConfigError, DimensionError, LengthError, MissingIdError,
+                     SvkitError)
 from .nn import POOL_STDDEV, POOL_VARIANCE
 
 
@@ -379,9 +380,10 @@ def _e2e_model(cfg: Config, args, seed: int) -> e2e_mod.E2EModel:
     if not args.extractor:
         return e2e_mod.init_e2e(shape, seed=seed, head=head)
     model = e2e_mod.load_e2e(args.extractor)
+    # the extractor is checked, not the --init head that replaces its head and head dims
+    differ = [k for k, v in vars(shape).items() if getattr(model.config, k) != v]
     if head is not None:
         model = e2e_mod._with_head(model, head)
-    differ = [k for k, v in vars(shape).items() if getattr(model.config, k) != v]
     if differ:
         raise ConfigError(f"{args.extractor}: extractor differs from the [e2e] config in "
                           + ", ".join(differ))
@@ -425,9 +427,15 @@ def cmd_train(args) -> int:
     dev_path = cfg.get("data", f"dev_{files}", default="")
     trials_path = cfg.get("data", "dev_trials", default="")
     train_set = read(train_path)
-    dev_set, dev_trials = ((read(dev_path), _read_key(trials_path))
-                           if dev_path and trials_path else (None, None))
-    inputs = [(train_path, train_set)] + ([(dev_path, dev_set)] if dev_set is not None else [])
+    if not len(train_set):
+        raise ArgumentError(f"{train_path}: holds no utterances")
+    dev = None
+    if dev_path and trials_path:
+        try:
+            dev = sampling.TrialBatch(read(dev_path), _read_key(trials_path))
+        except MissingIdError as exc:
+            raise ArgumentError(f"{trials_path}: {exc} (not in {dev_path})") from None
+    inputs = [(train_path, train_set)] + ([(dev_path, dev.utterances)] if dev is not None else [])
 
     if args.kind == "gplda":
         _check_inputs(inputs, train_set.dim)
@@ -443,8 +451,8 @@ def cmd_train(args) -> int:
         if args.kind == "nplda":
             gplda_model = gplda_mod.load_model(args.init)
             _check_inputs(inputs, gplda_model.in_dim)
-            dev_scored = (None if dev_set is None
-                          else gplda_mod.score_trials(gplda_model, dev_trials, dev_set))
+            dev_scored = (None if dev is None
+                          else gplda_mod.score_trials(gplda_model, dev.trials, dev.utterances))
             model = nplda_mod.init_from_gplda(gplda_model, dev_scored, weights)
             train, extra = nplda_mod.train, {}
             row = ("nplda", "-", os.path.basename(args.init))
@@ -454,17 +462,17 @@ def cmd_train(args) -> int:
             train, extra = e2e_mod.train_e2e, {"freeze_prefix": cfg.getint("e2e", "freeze_prefix")}
             row = ("e2e", model.config.pooling,
                    os.path.basename(args.extractor or args.init or "random"))
-        # both discriminative trainers take the dev trials and their data positionally
+        # both discriminative trainers take the dev batch positionally
         best, trace = train(model, _sample_batches(cfg, train_set, seed), _loss_config(cfg),
-                            cfg.getint("optimizer", "epochs"), seed, dev_trials, dev_set,
+                            cfg.getint("optimizer", "epochs"), seed, dev,
                             lr=cfg.getfloat("optimizer", "lr"),
                             patience=cfg.getint("optimizer", "patience"), **extra)
     save(best, args.out)
     cfg.write_resolved(args.out)
     if args.trace:
         nplda_mod.write_trace(trace, args.trace)
-    if dev_set is not None:
-        _report_row(*row, score(best, dev_trials, dev_set), weights)
+    if dev is not None:
+        _report_row(*row, score(best, dev.trials, dev.utterances), weights)
     print(f"wrote {args.out}")
     return 0
 
@@ -481,7 +489,10 @@ def cmd_score(args) -> int:
     utts = read(args.data)
     _check_inputs([(args.data, utts)], model.in_dim,
                   model.config.min_frames if kind == "e2e" else 0)
-    scored = score(model, trials, utts)
+    try:
+        scored = score(model, trials, utts)
+    except MissingIdError as exc:
+        raise ArgumentError(f"{args.trials}: {exc} (not in {args.data})") from None
     dm.write_scores(scored, args.out)
     print(f"wrote {args.out} ({len(scored)} trials)")
     return 0

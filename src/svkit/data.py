@@ -139,6 +139,7 @@ class ScoredTrialSet:
 
     trials: list[Trial]
     scores: np.ndarray
+    label_vector: np.ndarray | None = None  # the trials' labels, when built already
 
     def __post_init__(self):
         s = np.asarray(self.scores, dtype=np.float64)
@@ -150,7 +151,7 @@ class ScoredTrialSet:
 
     def labels(self) -> np.ndarray:
         """0/1 label vector; raises if any trial is unlabelled."""
-        return _labels(self.trials)
+        return _labels(self.trials) if self.label_vector is None else self.label_vector
 
     def __len__(self) -> int:
         return len(self.trials)

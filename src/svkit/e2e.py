@@ -19,13 +19,13 @@ the context width of TDNN layer i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import nplda
 from .checkpoint import _load_kind, save_params
-from .data import FeatureMatrix, ScoredTrialSet, Trial, UtteranceSet, pair_index
+from .data import FeatureMatrix, ScoredTrialSet, Trial
 from .errors import ArgumentError, LengthError
 from .nn import (
     POOL_STDDEV,
@@ -131,18 +131,18 @@ class E2EModel(ParamVector):
     """One shared extractor parameter set plus the scoring head, as views of one vector.
 
     The vector holds each TDNN layer's W and b, then the segment affine
-    ``emb``, then the head's parameters under ``head.``, laid out as ``head``
-    gives them; the ``head`` attribute is an NpldaParams over that tail.
+    ``emb``, then the head's parameters under ``head.``, of the dims the
+    config gives; the ``head`` attribute is an NpldaParams over that tail.
     """
 
-    def __init__(self, config: E2EConfig, head: dict[str, tuple[int, ...]],
-                 vector: np.ndarray | None = None):
+    def __init__(self, config: E2EConfig, vector: np.ndarray | None = None):
         shapes = {}
         for i, layer in enumerate(config.layers):
             shapes[f"tdnn{i}.W"] = (layer.out_dim, layer.in_dim * layer.context_width)
             shapes[f"tdnn{i}.b"] = (layer.out_dim,)
         shapes["emb.W"] = (config.embedding_dim, 2 * config.layers[-1].out_dim)
         shapes["emb.b"] = (config.embedding_dim,)
+        head = nplda._layout(config.embedding_dim, config.head_lda_dim, config.head_out_dim)
         super().__init__(shapes | {f"head.{name}": s for name, s in head.items()}, vector)
         self.config = config
         self.tdnn_W = [self.views[f"tdnn{i}.W"] for i in range(len(config.layers))]
@@ -155,13 +155,13 @@ class E2EModel(ParamVector):
         return self.config.layers[0].in_dim
 
     def like(self, vector: np.ndarray) -> "E2EModel":
-        return E2EModel(self.config, self.head.shapes, vector)
+        return E2EModel(self.config, vector)
 
 
 def init_e2e(cfg: E2EConfig, seed: int, head: NpldaParams | None = None) -> E2EModel:
     """Random extractor; the head may come from a trained backend checkpoint."""
     rng = np.random.default_rng(seed)
-    model = E2EModel(cfg, {})  # the extractor alone; _with_head appends the head
+    model = E2EModel(cfg)  # _with_head replaces the zero head
     for W, b in zip(model.tdnn_W, model.tdnn_b):
         W[...] = rng.standard_normal(W.shape) * np.sqrt(2.0 / W.shape[1])
         b[...] = 0.01
@@ -174,12 +174,16 @@ def init_e2e(cfg: E2EConfig, seed: int, head: NpldaParams | None = None) -> E2EM
 
 
 def _with_head(model: E2EModel, head: NpldaParams) -> E2EModel:
-    """``model``'s extractor under a copy of ``head``, which must take its embeddings."""
+    """``model``'s extractor under a copy of ``head``, which must take its embeddings.
+
+    The result's config takes the head's dims.
+    """
     if head.in_dim != model.config.embedding_dim:
         raise ArgumentError(f"head expects dim {head.in_dim}, "
                             f"extractor emits {model.config.embedding_dim}")
+    config = replace(model.config, head_lda_dim=len(head.W1), head_out_dim=len(head.W2))
     extractor = model.vector[:model.vector.size - model.head.vector.size]
-    return E2EModel(model.config, head.shapes, np.concatenate([extractor, head.vector]))
+    return E2EModel(config, np.concatenate([extractor, head.vector]))
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +262,18 @@ def _embed(model: E2EModel, frames: list[np.ndarray], with_cache: bool):
 
 def score_trials(model: E2EModel, trials: list[Trial], utts) -> ScoredTrialSet:
     """Embed each utterance of ``utts`` (an UtteranceSet) the trials reference once; score them."""
-    return _scorer(trials, utts)(model)
+    return ScoredTrialSet(trials, _scores(model, TrialBatch(utts, trials, labelled=False)))
 
 
-def _scorer(trials: list[Trial], utts):
-    """``score_trials`` of these trials as a function of the model; indexes them once."""
-    ids, e_idx, t_idx = pair_index(trials, utts)
-    frames, trials = [_frames_of(utts[u].payload) for u in ids], list(trials)
-    return lambda model: ScoredTrialSet(trials, nplda._head_forward(
-        model.head, _embed(model, frames, with_cache=False)[0], e_idx, t_idx)[0])
+def _frames(batch: TrialBatch) -> list[np.ndarray]:
+    """The frame matrix of each utterance of ``batch.ids``."""
+    return [_frames_of(batch.utterances[u].payload) for u in batch.ids]
+
+
+def _scores(model: E2EModel, batch: TrialBatch) -> np.ndarray:
+    """The score of each trial of ``batch``, embedding each of its utterances once."""
+    X = _embed(model, _frames(batch), with_cache=False)[0]
+    return nplda._head_forward(model.head, X, batch.e_idx, batch.t_idx)[0]
 
 
 def score_with_grads(model: E2EModel, frames_e, frames_t):
@@ -301,8 +308,7 @@ def min_abs_preactivation(model: E2EModel, frames) -> float:
 
 def batch_loss_and_grads(model: E2EModel, batch: TrialBatch, cfg: LossConfig):
     """Soft-DCF loss and gradients for the whole model on one batch."""
-    frames = [_frames_of(batch.utterances[u].payload) for u in batch.ids]
-    X, stacks = _embed(model, frames, with_cache=True)
+    X, stacks = _embed(model, _frames(batch), with_cache=True)
     grads = model.zeros()
     loss, dX = nplda.stack_loss_and_grads(model.head, X, batch, cfg, grads.head)
     return loss, _extract_backward(model, stacks, dX, grads)
@@ -314,27 +320,24 @@ def train_e2e(
     cfg: LossConfig,
     epochs: int,
     seed: int,
-    dev_trials: list[Trial] | None = None,
-    dev_features: UtteranceSet | None = None,
+    dev: TrialBatch | None = None,
     lr: float = nplda.DEFAULT_LR,
     patience: int = 3,
     freeze_prefix: int = 0,
 ):
     """Joint Adam training of extractor, head, and threshold.
 
-    With ``dev_trials`` and ``dev_features`` (feature matrices of the
-    utterances those trials reference) it returns the best-development
+    With ``dev``, the development trials indexed against the feature
+    matrices of their utterances, it returns the best-development
     checkpoint and halves the learning rate after ``patience`` epochs
-    without improvement; without them, the final model.  ``freeze_prefix``
+    without improvement; without it, the final model.  ``freeze_prefix``
     holds the first n TDNN layers at their initial values.  Returns the
     model and the per-epoch trace.
     """
-    has_dev = dev_trials is not None and dev_features is not None
-    dev_score = _scorer(dev_trials, dev_features) if has_dev else None
     # the first layers lead the parameter vector
     frozen = slice(model.offsets[2 * freeze_prefix])
     return nplda._fit(model, batches, cfg, epochs, seed, lr, patience,
-                      batch_loss_and_grads, dev_score, frozen)
+                      batch_loss_and_grads, _scores, dev, frozen)
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +379,8 @@ def save_e2e(model: E2EModel, path) -> None:
         "kind": "e2e",
         "pooling": cfg.pooling,
         "embedding_dim": str(cfg.embedding_dim),
-        "head_lda_dim": str(model.head.W1.shape[0]),
-        "head_out_dim": str(model.head.W2.shape[0]),
+        "head_lda_dim": str(cfg.head_lda_dim),
+        "head_out_dim": str(cfg.head_out_dim),
         "n_layers": str(len(cfg.layers)),
     }
     for i, layer in enumerate(cfg.layers):
@@ -400,5 +403,4 @@ def _from_checkpoint(params: dict[str, np.ndarray], meta: dict[str, str]) -> E2E
         head_lda_dim=int(meta["head_lda_dim"]),
         head_out_dim=int(meta["head_out_dim"]),
     )
-    head = nplda._layout(cfg.embedding_dim, cfg.head_lda_dim, cfg.head_out_dim)
-    return E2EModel(cfg, head).from_dict(params)
+    return E2EModel(cfg).from_dict(params)

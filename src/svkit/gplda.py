@@ -31,9 +31,10 @@ import scipy.linalg
 
 from . import nn
 from .checkpoint import _load_kind, save_params
-from .data import ScoredTrialSet, Trial, UtteranceSet, pair_index
+from .data import ScoredTrialSet, Trial, UtteranceSet
 from .errors import ArgumentError, ModelError, NumericalError
 from .nn import quadratic_score
+from .sampling import TrialBatch
 
 DEFAULT_LDA_DIM = 170
 DEFAULT_EM_ITERS = 20
@@ -414,10 +415,13 @@ def score_pairs_dense(model: PldaModel, raw_e: np.ndarray, raw_t: np.ndarray) ->
 
 def score_trials(model: PldaModel, trials: list[Trial], embeddings: UtteranceSet) -> ScoredTrialSet:
     """Score labelled or unlabelled trials against raw embeddings."""
-    ids, e_idx, t_idx = pair_index(trials, embeddings)
-    proc = model.transform(model.chain.apply(embeddings.embedding_matrix(ids)))
-    scores = quadratic_score(proc[e_idx], proc[t_idx], model.p, model.q, model.k)
-    return ScoredTrialSet(list(trials), np.atleast_1d(scores))
+    return ScoredTrialSet(trials, _scores(model, TrialBatch(embeddings, trials, labelled=False)))
+
+
+def _scores(model: PldaModel, batch: TrialBatch) -> np.ndarray:
+    """The score of each trial of ``batch``, preprocessing each utterance once."""
+    proc = model.transform(model.chain.apply(batch.embeddings))
+    return quadratic_score(proc[batch.e_idx], proc[batch.t_idx], model.p, model.q, model.k)
 
 
 def llr_oracle(model: PldaModel, raw_e: np.ndarray, raw_t: np.ndarray) -> float:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import _load_kind, save_params
-from .data import ScoredTrialSet, Trial, UtteranceSet, _write_lines, pair_index
+from .data import ScoredTrialSet, Trial, UtteranceSet, _write_lines
 from .errors import (
     ArgumentError,
     BatchCompositionError,
@@ -162,18 +162,12 @@ def forward(params: NpldaParams, eta_e: np.ndarray, eta_t: np.ndarray):
 
 def score_trials(params: NpldaParams, trials: list[Trial], embeddings: UtteranceSet) -> ScoredTrialSet:
     """Score trials, embedding each referenced utterance exactly once."""
-    return _scorer(trials, embeddings)(params)
+    return ScoredTrialSet(trials, _scores(params, TrialBatch(embeddings, trials, labelled=False)))
 
 
-def _scorer(trials: list[Trial], embeddings: UtteranceSet):
-    """``score_trials`` of these trials as a function of the parameters.
-
-    The trials are indexed and their embeddings stacked once, so a training
-    run scores its development trials every epoch without redoing either.
-    """
-    ids, e_idx, t_idx = pair_index(trials, embeddings)
-    X, trials = embeddings.embedding_matrix(ids), list(trials)
-    return lambda params: ScoredTrialSet(trials, _head_forward(params, X, e_idx, t_idx)[0])
+def _scores(params: NpldaParams, batch: TrialBatch) -> np.ndarray:
+    """The score of each trial of ``batch``; the batch keeps its stacked embeddings."""
+    return _head_forward(params, batch.embeddings, batch.e_idx, batch.t_idx)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -308,33 +302,30 @@ def train(
     cfg: LossConfig,
     epochs: int,
     seed: int,
-    dev_trials: list[Trial] | None = None,
-    dev_embeddings: UtteranceSet | None = None,
+    dev: TrialBatch | None = None,
     lr: float = DEFAULT_LR,
     patience: int = 3,
 ):
     """Adam training of all backend parameters including the threshold.
 
     Deterministic given (inputs, seed).  Returns the checkpoint with the
-    best development minDCF (the final parameters when no development set
-    is given) and a per-epoch trace.  The learning rate halves when the
-    development minDCF fails to improve for ``patience`` epochs.
+    best minDCF on ``dev``, the development trials indexed against their
+    embeddings (the final parameters without it), and a per-epoch trace.
+    The learning rate halves when the dev minDCF stalls ``patience`` epochs.
     """
-    has_dev = dev_trials is not None and dev_embeddings is not None
-    dev_score = _scorer(dev_trials, dev_embeddings) if has_dev else None
     return _fit(params, batches, cfg, epochs, seed, lr, patience,
-                batch_loss_and_grads, dev_score, slice(0))
+                batch_loss_and_grads, _scores, dev, slice(0))
 
 
 def _fit(model: ParamVector, batches, cfg: LossConfig, epochs: int, seed: int, lr: float,
-         patience: int, loss_and_grads, dev_score, frozen: slice):
+         patience: int, loss_and_grads, scores, dev: TrialBatch | None, frozen: slice):
     """The Adam loop of `train` and `e2e.train_e2e`, updating a copy of ``model`` in place.
 
     ``loss_and_grads(model, batch, cfg)`` gives a batch's loss and its
-    gradients, a ParamVector of the model's layout; ``dev_score(model)``
-    scores the development trials (None without them).  The gradient entries
-    of the parameter vector's ``frozen`` slice are zeroed, so those entries
-    keep their values.
+    gradients, a ParamVector of the model's layout; ``scores(model, dev)``
+    scores the development batch (None without one), which is evaluated
+    against ``dev.labels``.  The gradient entries of the parameter vector's
+    ``frozen`` slice are zeroed, so those entries keep their values.
     """
     if not batches:
         raise ArgumentError("no training batches")
@@ -342,8 +333,9 @@ def _fit(model: ParamVector, batches, cfg: LossConfig, epochs: int, seed: int, l
     current = model.copy()
     state = adam_init(current, lr=lr)
     # updated in place, ``current`` is the result when no development set picks one
-    best = current if dev_score is None else current.copy()
-    best_cost = np.inf if dev_score is None else evaluate(dev_score(current), cfg.weights).min_dcf
+    best = current if dev is None else current.copy()
+    best_cost = np.inf if dev is None else evaluate(
+        ScoredTrialSet(dev.trials, scores(current, dev), dev.labels), cfg.weights).min_dcf
     since_improved = 0
     trace: list[TraceRow] = []
     for epoch in range(1, epochs + 1):
@@ -359,8 +351,9 @@ def _fit(model: ParamVector, batches, cfg: LossConfig, epochs: int, seed: int, l
             grads.vector[frozen] = 0.0
             adam_step(current, grads, state)
             losses.append(loss)
-        if dev_score is not None:
-            report = evaluate(dev_score(current), cfg.weights)
+        if dev is not None:
+            report = evaluate(ScoredTrialSet(dev.trials, scores(current, dev), dev.labels),
+                              cfg.weights)
             dev_e, dev_c = report.eer, report.min_dcf
             if dev_c < best_cost:
                 best_cost = dev_c

@@ -20,7 +20,7 @@ block as one matrix (see ``nplda.stack_loss_and_grads``).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -88,9 +88,10 @@ class TrialBatch:
     each trial's two rows among them and ``labels`` the 0/1 label vector,
     whether ``trials`` is a list or a CrossProduct.  A CrossProduct also sets
     ``block``, the rows of its enroll and of its test ids, and its trials
-    come in its enroll-major order.  Every training step reads these.  A
-    batch that cannot be indexed (an unlabelled trial, or a trial naming an
-    utterance the batch lacks) cannot be built.  gender/dataset_id are set
+    come in its enroll-major order.  Training, dev selection and scoring
+    read these.  A batch cannot be built with a trial naming an utterance it
+    lacks, nor with an unlabelled trial unless built ``labelled=False`` for
+    output scoring, which leaves ``labels`` None.  gender/dataset_id are set
     for single-partition batches and None for pooled mixed batches.
     """
 
@@ -99,8 +100,9 @@ class TrialBatch:
     gender: str | None = None
     dataset_id: str | None = None
     tag: str = ""
+    labelled: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, labelled: bool):
         if isinstance(self.trials, CrossProduct):
             self.ids, e_rows, t_rows = _index_sides(self.trials.enroll, self.trials.test,
                                                     self.utterances)
@@ -111,7 +113,7 @@ class TrialBatch:
         else:
             self.block = None
             self.ids, self.e_idx, self.t_idx = pair_index(self.trials, self.utterances)
-            self.labels = _labels(self.trials)
+            self.labels = _labels(self.trials) if labelled else None
 
     @cached_property
     def embeddings(self) -> np.ndarray:

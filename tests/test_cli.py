@@ -724,6 +724,16 @@ class TestE2EModelBuilt:
         assert "head expects dim 20, extractor emits 6" in capsys.readouterr().err
         assert not (tmp_path / "m.e2e").exists()
 
+    def test_init_head_brings_its_own_dims(self, feat_workspace, extractor, tmp_path):
+        # the [e2e] head dims are 5/4; an --init head of 3/2 replaces the extractor's head
+        root, cfg, out = feat_workspace
+        head_path = tmp_path / "head.nplda"
+        nplda.save_nplda(nplda.init_random(6, 3, 2, seed=9), head_path)
+        assert self._train(cfg, out, tmp_path / "m.e2e", "-O", "optimizer.epochs=0",
+                           "--extractor", str(extractor), "--init", str(head_path)) == 0
+        model = e2e.load_e2e(tmp_path / "m.e2e")
+        assert (model.config.head_lda_dim, model.config.head_out_dim) == (3, 2)
+
     @pytest.mark.parametrize("extra, named", [
         (["--pooling", "variance"], "pooling"),
         (["-O", "e2e.embedding_dim=5"], "embedding_dim"),
@@ -852,7 +862,8 @@ class TestInputChecks:
         ("{a} {b} target\n{b} {a} target\n",
          "needs target and nontarget trials, has 2 target and 0 nontarget"),
         ("{a} {c} nontarget\n", "needs target and nontarget trials, has 0 target and 1 nontarget"),
-    ], ids=["empty", "unlabelled", "targets-only", "nontargets-only"])
+        ("{a} nosuch-utt target\n{a} {b} nontarget\n", "unresolved utterance id(s): nosuch-utt"),
+    ], ids=["empty", "unlabelled", "targets-only", "nontargets-only", "missing-id"])
     @pytest.mark.parametrize("kind", ["gplda", "nplda", "e2e"])
     def test_dev_trials_refused_before_fitting(self, checkpoints, emb_workspace, feat_workspace,
                                                tmp_path, capsys, kind, trials, named):
@@ -870,6 +881,36 @@ class TestInputChecks:
                     "-O", f"data.dev_trials={bad}", "--out", str(tmp_path / "m.out")])
         assert code == 1
         assert f"{bad}: {named.format(**fill)}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [bad]
+
+    @pytest.mark.parametrize("kind", ["gplda", "nplda", "e2e"])
+    def test_empty_training_file_refused_before_fitting(self, checkpoints, emb_workspace,
+                                                        feat_workspace, tmp_path, capsys, kind):
+        _, cfg, out = feat_workspace if kind == "e2e" else emb_workspace
+        files = "features" if kind == "e2e" else "embeddings"
+        empty = tmp_path / f"train.{files}"
+        empty.write_text("")
+        init = ["--init", str(checkpoints["gplda"])] if kind == "nplda" else []
+        code = run(["train", kind, "--config", cfg, *init,
+                    "-O", f"data.train_{files}={empty}",
+                    "-O", f"data.dev_{files}={out}/dev.{files}",
+                    "-O", f"data.dev_trials={out}/dev.trials", "--out", str(tmp_path / "m.out")])
+        assert code == 1
+        assert f"{empty}: holds no utterances" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [empty]
+
+    @pytest.mark.parametrize("kind", ["gplda", "nplda", "e2e"])
+    def test_score_names_both_files_on_a_missing_id(self, checkpoints, emb_workspace,
+                                                    feat_workspace, tmp_path, capsys, kind):
+        out = (feat_workspace if kind == "e2e" else emb_workspace)[2]
+        dev = out / ("dev.features" if kind == "e2e" else "dev.embeddings")
+        first = cli._KINDS[kind][1](dev).utterances[0].id
+        bad = tmp_path / "eval.trials"
+        bad.write_text(f"{first} nosuch-utt\n")
+        assert run(["score", "--model", str(checkpoints[kind]), "--trials", str(bad),
+                    "--data", str(dev), "--out", str(tmp_path / "s.scores")]) == 1
+        assert (f"{bad}: unresolved utterance id(s): nosuch-utt (not in {dev})"
+                in capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == [bad]
 
 

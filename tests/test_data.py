@@ -280,13 +280,11 @@ def _calls(name):
 
 class TestOneDerivation:
     def test_batches_are_indexed_once(self):
-        # training steps read the index and labels a TrialBatch built; only
-        # the three scorers index trial lists of their own (nplda and e2e in the
-        # body of score_trials that training reuses for its development trials)
+        # a TrialBatch is the one index of a trial list: training steps, dev
+        # selection and every score_trials read the index a TrialBatch built
         src = Path(data.__file__).parent
         outside = {site for site in _code_sites(src, _calls("pair_index")) if site[0] != "data.py"}
-        assert outside == {("sampling.py", "__post_init__"), ("gplda.py", "score_trials"),
-                           ("nplda.py", "_scorer"), ("e2e.py", "_scorer")}
+        assert outside == {("sampling.py", "__post_init__")}
         assert {site for site in _code_sites(src, _calls("_labels"))
                 if site[0] != "data.py"} == {("sampling.py", "__post_init__")}
 

@@ -415,6 +415,15 @@ class TestMemoryEstimate:
 
 
 class TestPersistence:
+    def test_config_takes_the_head_dims(self, tmp_path):
+        # a head of other inner dims than the config's defaults sets the config's
+        model = e2e.init_e2e(e2e.desk_config(8), seed=0, head=nplda.init_random(16, 10, 6, seed=0))
+        assert (model.config.head_lda_dim, model.config.head_out_dim) == (10, 6)
+        e2e.save_e2e(model, tmp_path / "m.e2e")
+        back = e2e.load_e2e(tmp_path / "m.e2e")
+        assert back.config == model.config
+        assert np.array_equal(back.vector, model.vector)
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(28)
         model = e2e.init_e2e(tiny_config("variance"), seed=29)

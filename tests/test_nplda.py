@@ -279,7 +279,7 @@ class TestTraining:
         runs = []
         for _ in range(2):
             best, trace = nplda.train(params, batches, cfg, epochs=3, seed=12,
-                                      dev_trials=trials, dev_embeddings=dev)
+                                      dev=sampling.TrialBatch(dev, trials))
             runs.append((best, trace))
         t0, t1 = runs[0][1], runs[1][1]
         assert [(r.epoch, r.loss, r.dev_eer, r.dev_mindcf) for r in t0] == [
@@ -289,6 +289,26 @@ class TestTraining:
             assert np.array_equal(
                 np.asarray(runs[0][0].to_dict()[name]), np.asarray(runs[1][0].to_dict()[name])
             )
+
+    def test_dev_labels_built_once(self, fitted, monkeypatch):
+        # the dev batch's label vector serves the starting cost and every epoch
+        model, dev, trials = fitted
+        batches = sampling.sample_epoch_algo2(
+            data.synth_plda_embeddings(2.0 * np.eye(12)[:, :3], np.eye(12), 20, 10, seed=10),
+            sampling.SamplerConfig(seed=11), n_batches=2)
+        built = []
+
+        def counted(ts):
+            built.append(ts)
+            return labels(ts)
+
+        labels = data._labels
+        monkeypatch.setattr(data, "_labels", counted)
+        monkeypatch.setattr(sampling, "_labels", counted)
+        _, trace = nplda.train(nplda.init_from_gplda(model), batches, nplda.LossConfig(),
+                               epochs=3, seed=12, dev=sampling.TrialBatch(dev, trials))
+        assert len(trace) == 3
+        assert len(built) == 1 and built[0] is trials
 
     def test_non_finite_loss_names_batch(self):
         rng = np.random.default_rng(13)
@@ -349,7 +369,8 @@ class TestBestDevContract:
         def dev_cost(m):
             return metrics.min_dcf(score(m, dev_trials, dev), cfg.weights)[0]
 
-        best, trace = train(model, batches, cfg, 6, 7, dev_trials, dev, lr=0.01, patience=1)
+        best, trace = train(model, batches, cfg, 6, 7, sampling.TrialBatch(dev, dev_trials),
+                            lr=0.01, patience=1)
         costs = [dev_cost(model)] + [r.dev_mindcf for r in trace]
         assert min(costs) < costs[-1]  # the final model is not the best one
         assert dev_cost(best) == min(costs)
