@@ -13,6 +13,7 @@ import configparser
 import io
 import os
 import sys
+from collections import defaultdict
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from . import nplda as nplda_mod
 from . import sampling
 from .checkpoint import _load_kind
 from .errors import (ArgumentError, ConfigError, DimensionError, LengthError, MissingIdError,
-                     SvkitError)
+                     ParseError, SvkitError)
 from .nn import POOL_STDDEV, POOL_VARIANCE
 
 
@@ -202,14 +203,20 @@ def _e2e_config(cfg: Config) -> e2e_mod.E2EConfig:
             if len(fields) < 3:
                 raise ConfigError(f"[e2e] layers line needs 'k_in k_out offsets...': "
                                   f"{' '.join(fields)!r}")
-            layers.append(e2e_mod._layer_spec(fields))
-    return e2e_mod.E2EConfig(
-        layers=tuple(layers),
-        pooling=cfg.get("e2e", "pooling"),
-        embedding_dim=cfg.getint("e2e", "embedding_dim"),
-        head_lda_dim=cfg.getint("e2e", "head_lda_dim"),
-        head_out_dim=cfg.getint("e2e", "head_out_dim"),
-    )
+            try:
+                layers.append(e2e_mod._layer_spec(fields))
+            except (ArgumentError, ValueError) as exc:
+                raise ConfigError(f"[e2e] layers line {' '.join(fields)!r}: {exc}") from None
+    try:
+        return e2e_mod.E2EConfig(
+            layers=tuple(layers),
+            pooling=cfg.get("e2e", "pooling"),
+            embedding_dim=cfg.getint("e2e", "embedding_dim"),
+            head_lda_dim=cfg.getint("e2e", "head_lda_dim"),
+            head_out_dim=cfg.getint("e2e", "head_out_dim"),
+        )
+    except ArgumentError as exc:
+        raise ConfigError(f"[e2e] {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +384,14 @@ def _e2e_model(cfg: Config, args, seed: int) -> e2e_mod.E2EModel:
     """A new model of the [e2e] shape or the --extractor of that shape, with any --init head."""
     shape = _e2e_config(cfg)
     head = nplda_mod.load_nplda(args.init) if args.init else None
-    if not args.extractor:
-        return e2e_mod.init_e2e(shape, seed=seed, head=head)
-    model = e2e_mod.load_e2e(args.extractor)
+    model = e2e_mod.load_e2e(args.extractor) if args.extractor else e2e_mod.init_e2e(shape, seed)
     # the extractor is checked, not the --init head that replaces its head and head dims
     differ = [k for k, v in vars(shape).items() if getattr(model.config, k) != v]
     if head is not None:
-        model = e2e_mod._with_head(model, head)
+        try:
+            model = e2e_mod._with_head(model, head)
+        except ArgumentError as exc:
+            raise ArgumentError(f"{args.init}: {exc}") from None
     if differ:
         raise ConfigError(f"{args.extractor}: extractor differs from the [e2e] config in "
                           + ", ".join(differ))
@@ -402,13 +410,14 @@ def _check_inputs(files, in_dim: int, min_frames: int = 0) -> None:
                                   f"extractor needs min_frames = {min_frames}")
 
 
-def _read_key(path, both_classes: bool = True) -> list[dm.Trial]:
+def _read_key(path, both_classes: bool = True) -> dm.TrialList:
     """The trials of ``path``, which must all be labelled and, with ``both_classes``, hold both."""
     trials = dm.read_trials(path)
-    bad = next((t for t in trials if t.label is None), None)
-    if bad is not None:
-        raise ArgumentError(f"{path}: trial {bad.enroll_id} {bad.test_id} has no label")
-    if both_classes and not 0 < (n_tgt := sum(t.is_target for t in trials)) < len(trials):
+    unlabelled = np.flatnonzero(np.isnan(trials.labels))
+    if unlabelled.size:
+        i = unlabelled[0]
+        raise ArgumentError(f"{path}: trial {trials.enroll[i]} {trials.test[i]} has no label")
+    if both_classes and not 0 < (n_tgt := int(trials.labels.sum())) < len(trials):
         raise ArgumentError(f"{path}: needs target and nontarget trials, has {n_tgt} target "
                             f"and {len(trials) - n_tgt} nontarget")
     return trials
@@ -439,6 +448,9 @@ def cmd_train(args) -> int:
 
     if args.kind == "gplda":
         _check_inputs(inputs, train_set.dim)
+        if len(set(train_set.speaker_labels())) == len(train_set):
+            raise ArgumentError(f"{train_path}: no speaker has two utterances, so the "
+                                "within-speaker covariance cannot be estimated")
         latent = cfg.get("gplda", "latent_dim").strip()
         chain = gplda_mod.fit_preprocess(train_set, target_dim=cfg.getint("gplda", "lda_dim"))
         best = gplda_mod.em_fit(
@@ -459,7 +471,14 @@ def cmd_train(args) -> int:
         else:
             model = _e2e_model(cfg, args, seed)
             _check_inputs(inputs, model.in_dim, model.config.min_frames)
-            train, extra = e2e_mod.train_e2e, {"freeze_prefix": cfg.getint("e2e", "freeze_prefix")}
+            frozen, n_layers = cfg.getint("e2e", "freeze_prefix"), len(model.config.layers)
+            if not 0 <= frozen <= n_layers:
+                raise ConfigError(f"[e2e] freeze_prefix = {frozen}: expected 0 to {n_layers}, "
+                                  "the number of TDNN layers")
+            # an --init head brings its own dims: the resolved config gives the checkpoint's
+            cfg.set("e2e", "head_lda_dim", model.config.head_lda_dim)
+            cfg.set("e2e", "head_out_dim", model.config.head_out_dim)
+            train, extra = e2e_mod.train_e2e, {"freeze_prefix": frozen}
             row = ("e2e", model.config.pooling,
                    os.path.basename(args.extractor or args.init or "random"))
         # both discriminative trainers take the dev batch positionally
@@ -498,22 +517,52 @@ def cmd_score(args) -> int:
     return 0
 
 
+def _pair_codes(trials: dm.TrialList, row: defaultdict) -> np.ndarray:
+    """Each trial's (enroll, test) pair as one integer, enroll row * 2**32 + test row.
+
+    ``row`` numbers ids; its default factory is its ``__len__``, so an id it
+    lacks takes the next number.
+    """
+    enroll, test = (np.fromiter(map(row.__getitem__, side), np.int64, len(trials))
+                    for side in (trials.enroll, trials.test))
+    return enroll << 32 | test
+
+
+def _refuse_repeats(path, trials: dm.TrialList, codes: np.ndarray, order: np.ndarray) -> None:
+    """Fail at the first line of ``path`` whose pair an earlier line has.
+
+    ``order`` is a stable argsort of ``codes``, so of equal codes the first is the earliest.
+    """
+    sorted_codes = codes[order]
+    repeats = order[1:][sorted_codes[1:] == sorted_codes[:-1]]
+    if repeats.size:
+        i = repeats.min()
+        raise ParseError(path, int(trials.lines[i]),
+                         f"repeated pair {trials.enroll[i]} {trials.test[i]}")
+
+
 def cmd_evaluate(args) -> int:
-    trials = _read_key(args.key, both_classes=False)
-    key = {(t.enroll_id, t.test_id): t for t in trials}
-    if len(key) < len(trials):
-        raise dm._repeated_pair(args.key)
-    rows = dm.read_scores(args.scores)
-    unkeyed = [(e, t) for e, t, _ in rows if (e, t) not in key]
-    if unkeyed:
-        raise ArgumentError(
-            f"{len(unkeyed)} scored trial(s) missing from the key, first: {unkeyed[0]}"
-        )
-    # every scored pair is keyed, so a pair the key no longer holds was scored before
-    picked = [key.pop((e, t), None) for e, t, _ in rows]
-    if any(t is None for t in picked):
-        raise dm._repeated_pair(args.scores)
-    scored = dm.ScoredTrialSet(picked, np.array([s for _, _, s in rows]))
+    key = _read_key(args.key, both_classes=False)
+    row: defaultdict[str, int] = defaultdict()
+    row.default_factory = row.__len__
+    key_codes = _pair_codes(key, row)
+    key_order = np.argsort(key_codes, kind="stable")
+    _refuse_repeats(args.key, key, key_codes, key_order)
+    key_labels = key.labels
+    del key  # its ids are numbered: let them go before the score file is read
+    scored = dm.read_scores(args.scores)
+    codes = _pair_codes(scored.trials, row)
+    # each scored pair's row in the key, where the key has it
+    sorted_key = np.append(key_codes[key_order], -1)
+    at = np.searchsorted(sorted_key[:-1], codes)
+    unkeyed = np.flatnonzero(sorted_key[at] != codes)
+    if unkeyed.size:
+        i = unkeyed[0]
+        raise ArgumentError(f"{unkeyed.size} scored trial(s) missing from the key, first: "
+                            f"{(scored.trials.enroll[i], scored.trials.test[i])}")
+    _refuse_repeats(args.scores, scored.trials, codes, np.argsort(codes, kind="stable"))
+    scored = dm.ScoredTrialSet(dm.TrialList(scored.trials.enroll, scored.trials.test,
+                                            key_labels[key_order[at]]), scored.scores)
     all_w = [metrics_mod.DcfWeights(args.c_miss, args.c_fa, p)
              for p in [args.p_target, *args.extra_p_target]]
     weights = all_w[0]

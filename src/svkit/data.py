@@ -5,11 +5,13 @@ File formats are text based and line oriented:
 * embedding file: ``utt_id speaker_id gender dataset_id v1 ... vD`` per line
 * feature file:   header ``utt_id speaker_id gender dataset_id T d`` followed
   by ``T`` lines of ``d`` floats
-* trial file:     ``enroll_id test_id [target|nontarget]`` per line
+* trial file:     ``enroll_id test_id [target|nontarget]`` per line; a line
+  whose first field starts with ``#`` is a comment
 * score file:     ``enroll_id test_id score`` per line
 
-The text layer below serves every file svkit reads or writes, checkpoints
-included.  Floats are written with ``%.17g`` so a write/read/write cycle
+A trial list is held as columns (``TrialList``); trial and score files are
+read whole, split once and checked column by column.  The text layer below
+serves every file svkit reads or writes, checkpoints included.  Floats are written with ``%.17g`` so a write/read/write cycle
 reproduces the file byte for byte; outputs are replaced atomically; bad input,
 non-finite values included, raises ParseError naming the file and line.
 """
@@ -20,6 +22,7 @@ import contextlib
 import itertools
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,32 +119,70 @@ class Trial:
         if self.label not in (None, TARGET, NONTARGET):
             raise ArgumentError(f"label must be target/nontarget/None, got {self.label!r}")
 
-    @property
-    def is_target(self) -> bool:
-        return self.label == TARGET
-
 
 _LABEL_VALUES = {TARGET: 1.0, NONTARGET: 0.0}
+_LABEL_WORDS = {1.0: TARGET, 0.0: NONTARGET}
+
+
+class TrialList(Sequence):
+    """Trials as three columns: enroll ids, test ids and a label vector.
+
+    A label is 1.0 for a target, 0.0 for a nontarget and NaN for an
+    unlabelled trial.  A Trial is made only when a row is read.  ``lines``
+    holds each trial's line in the file it was read from, or None.
+    """
+
+    def __init__(self, enroll: list[str], test: list[str], labels=None, lines=None):
+        self.enroll, self.test = list(enroll), list(test)
+        self.labels = (np.full(len(self.enroll), np.nan) if labels is None
+                       else np.asarray(labels, dtype=np.float64))
+        self.lines = lines
+        if len(self.test) != len(self.enroll) or self.labels.shape != (len(self.enroll),):
+            raise ArgumentError("a trial list needs one test id and one label per enroll id")
+        if not (np.isin(self.labels, (0.0, 1.0)) | np.isnan(self.labels)).all():
+            raise ArgumentError("trial labels must be 0, 1 or NaN")
+
+    @classmethod
+    def of(cls, trials) -> "TrialList":
+        """``trials`` if it is a TrialList, else the columns of its Trials."""
+        if isinstance(trials, TrialList):
+            return trials
+        rows = list(trials)
+        return cls([t.enroll_id for t in rows], [t.test_id for t in rows],
+                   [_LABEL_VALUES.get(t.label, np.nan) for t in rows])
+
+    def __len__(self) -> int:
+        return len(self.enroll)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]
+        return Trial(self.enroll[i], self.test[i], _LABEL_WORDS.get(float(self.labels[i])))
+
+    def __iter__(self):
+        return map(Trial, self.enroll, self.test, map(_LABEL_WORDS.get, self.labels.tolist()))
 
 
 def _labels(trials) -> np.ndarray:
     """0/1 label vector of ``trials``; an unlabelled trial raises ArgumentError."""
-    try:
-        return np.array([_LABEL_VALUES[t.label] for t in trials], dtype=np.float64)
-    except KeyError:
-        t = next(t for t in trials if t.label is None)
-        raise ArgumentError(f"trial {t.enroll_id}/{t.test_id} has no label") from None
+    trials = TrialList.of(trials)
+    unlabelled = np.flatnonzero(np.isnan(trials.labels))
+    if unlabelled.size:
+        i = unlabelled[0]
+        raise ArgumentError(f"trial {trials.enroll[i]}/{trials.test[i]} has no label")
+    return trials.labels
 
 
 @dataclass
 class ScoredTrialSet:
-    """Trials with their log-likelihood-ratio scores."""
+    """Trials, held as a TrialList, with their log-likelihood-ratio scores."""
 
-    trials: list[Trial]
+    trials: TrialList
     scores: np.ndarray
-    label_vector: np.ndarray | None = None  # the trials' labels, when built already
 
     def __post_init__(self):
+        self.trials = TrialList.of(self.trials)
         s = np.asarray(self.scores, dtype=np.float64)
         if s.shape != (len(self.trials),):
             raise DimensionError("one score per trial required")
@@ -151,7 +192,7 @@ class ScoredTrialSet:
 
     def labels(self) -> np.ndarray:
         """0/1 label vector; raises if any trial is unlabelled."""
-        return _labels(self.trials) if self.label_vector is None else self.label_vector
+        return _labels(self.trials)
 
     def __len__(self) -> int:
         return len(self.trials)
@@ -201,14 +242,16 @@ class UtteranceSet:
         return [u.speaker_id for u in self.utterances]
 
 
-def pair_index(trials: list[Trial], lookup) -> tuple[list[str], np.ndarray, np.ndarray]:
+def pair_index(trials, lookup) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Sorted unique ids the trials reference and each trial's two rows in them.
 
-    ``lookup`` is any container of utterance ids (an UtteranceSet or a dict
-    keyed by id).  Every referenced id missing from it is reported, sorted,
-    by one MissingIdError.
+    ``trials`` is a TrialList or any sequence of Trials.  ``lookup`` is any
+    container of utterance ids (an UtteranceSet or a dict keyed by id).
+    Every referenced id missing from it is reported, sorted, by one
+    MissingIdError.
     """
-    return _index_sides([t.enroll_id for t in trials], [t.test_id for t in trials], lookup)
+    trials = TrialList.of(trials)
+    return _index_sides(trials.enroll, trials.test, lookup)
 
 
 def _index_sides(enroll_ids: list[str], test_ids: list[str], lookup):
@@ -231,8 +274,12 @@ def _index_sides(enroll_ids: list[str], test_ids: list[str], lookup):
 # ---------------------------------------------------------------------------
 
 
+_FLOAT = "%.17g"
+_SCORE_LINE = f"%s %s {_FLOAT}\n"
+
+
 def _fmt(x: float) -> str:
-    return "%.17g" % x
+    return _FLOAT % x
 
 
 def _float_lines(block: np.ndarray):
@@ -362,62 +409,106 @@ def read_features(path) -> UtteranceSet:
     return UtteranceSet(utts)
 
 
+# whitespace as str.split() sees it: the ASCII part by byte, the rest turned into spaces
+_ASCII_SPACE = np.array([chr(c).isspace() for c in range(33)])
+_WIDE_SPACES = str.maketrans({c: " " for c in range(128, 0x3001) if chr(c).isspace()})
+
+
+def _table(path, comment: str | None = None):
+    """The fields of the text file at ``path`` and where its records start.
+
+    Returns the list of ``str.split()`` fields and, per record (non-blank
+    line), the index of its first field, its field count and its line number
+    as iterating the file numbers them.  With ``comment``, a record whose
+    first field starts with that character is dropped.
+    """
+    with open(path) as fh:
+        text = fh.read()
+    # the numpy pass frees its arrays before the fields are made
+    first, count, line = _record_layout(text, comment)
+    return text.split(), first, count, line
+
+
+def _record_layout(text: str, comment: str | None):
+    """``_table``'s record columns, from one numpy pass over the encoded text."""
+    raw = np.frombuffer((text if text.isascii() else text.translate(_WIDE_SPACES)).encode(),
+                        np.uint8)
+    space = np.flatnonzero(raw <= 32)
+    space = space[_ASCII_SPACE[raw[space]]]
+    # a field starts after each whitespace byte that no whitespace byte follows
+    after = np.flatnonzero(np.diff(space, append=raw.size) > 1)
+    start, line = space[after] + 1, np.cumsum(raw[space] == 10)[after] + 1
+    if raw.size and (not space.size or space[0]):  # the file opens with a field
+        start, line = np.r_[0, start], np.r_[1, line]
+    first = np.flatnonzero(np.diff(line, prepend=0))
+    count = np.diff(first, append=len(start))
+    if comment is not None:
+        kept = raw[start[first]] != ord(comment)
+        first, count = first[kept], count[kept]
+    return first, count, line[first]
+
+
+def _gather(fields: list, at: np.ndarray) -> list:
+    """``[fields[i] for i in at]``; evenly spaced indices, as in a file of one record
+    width, take one slice."""
+    step = int(at[1] - at[0]) if len(at) > 1 else 1
+    if (np.diff(at) == step).all():
+        return fields[at[0]:at[-1] + 1:step] if len(at) else []
+    return list(map(fields.__getitem__, at.tolist()))
+
+
 def write_trials(trials, path) -> None:
-    _write_lines(path, (
-        f"{t.enroll_id} {t.test_id}\n" if t.label is None
-        else f"{t.enroll_id} {t.test_id} {t.label}\n"
-        for t in trials
-    ))
+    trials = TrialList.of(trials)
+    suffix = map({1.0: f" {TARGET}", 0.0: f" {NONTARGET}"}.get, trials.labels.tolist(),
+                 itertools.repeat(""))
+    _write_lines(path, map("%s %s%s\n".__mod__, zip(trials.enroll, trials.test, suffix)))
 
 
-def read_trials(path) -> list[Trial]:
-    trials = []
-    with open(path) as fh:
-        for line_no, parts in _records(enumerate(fh, start=1)):
-            if parts[0].startswith("#"):
-                continue
-            if len(parts) not in (2, 3):
-                raise ParseError(path, line_no, f"expected 2 or 3 fields, got {len(parts)}")
-            if len(parts) == 3 and parts[2] not in (TARGET, NONTARGET):
-                raise ParseError(path, line_no, f"bad label {parts[2]!r}")
-            trials.append(Trial(*parts))
-    return trials
-
-
-def _repeated_pair(path) -> ParseError:
-    """The error at the first line of a trial or score file whose pair an earlier line has."""
-    seen = set()
-    with open(path) as fh:
-        for line_no, fields in _records(enumerate(fh, start=1)):
-            pair = tuple(fields[:2])
-            if pair in seen:
-                return ParseError(path, line_no, f"repeated pair {' '.join(pair)}")
-            if not pair[0].startswith("#"):
-                seen.add(pair)
+def read_trials(path) -> TrialList:
+    """The trials of a trial file; ``#`` lines are comments."""
+    fields, first, count, line = _table(path, comment="#")
+    has_label = count == 3
+    labels = np.full(len(first), np.nan)
+    labels[has_label] = np.fromiter(
+        map(_LABEL_VALUES.get, _gather(fields, first[has_label] + 2), itertools.repeat(-1.0)),
+        np.float64, int(has_label.sum()))
+    wrong = (count < 2) | (count > 3)
+    bad = np.flatnonzero(wrong | (labels == -1.0))
+    if bad.size:
+        i = bad[0]
+        raise ParseError(path, int(line[i]), f"expected 2 or 3 fields, got {count[i]}" if wrong[i]
+                         else f"bad label {fields[first[i] + 2]!r}")
+    return TrialList(_gather(fields, first), _gather(fields, first + 1), labels, line)
 
 
 def write_scores(scored: ScoredTrialSet, path) -> None:
-    _write_lines(path, (
-        f"{t.enroll_id} {t.test_id} {_fmt(s)}\n"
-        for t, s in zip(scored.trials, scored.scores.tolist())
-    ))
+    t = scored.trials
+    _write_lines(path, map(_SCORE_LINE.__mod__, zip(t.enroll, t.test, scored.scores.tolist())))
 
 
-def read_scores(path) -> list[tuple[str, str, float]]:
-    # floats parsed inline: a per-line _floats call costs more than the parse
-    out = []
-    with open(path) as fh:
-        for line_no, parts in _records(enumerate(fh, start=1)):
-            if len(parts) != 3:
-                raise ParseError(path, line_no, f"expected 3 fields, got {len(parts)}")
-            try:
-                score = float(parts[2])
-            except ValueError as exc:
-                raise ParseError(path, line_no, f"bad float: {exc}") from None
-            if not math.isfinite(score):
-                raise ParseError(path, line_no, "non-finite value")
-            out.append((parts[0], parts[1], score))
-    return out
+def read_scores(path) -> ScoredTrialSet:
+    """The unlabelled trials of a score file with their scores."""
+    fields, first, count, line = _table(path)
+    faults = []  # (record, reason) of the first fault of each kind; the earliest is raised
+    wrong = np.flatnonzero(count != 3)
+    if wrong.size:
+        faults.append((wrong[0], f"expected 3 fields, got {count[wrong[0]]}"))
+    rows = np.flatnonzero(count == 3)
+    scores = []
+    try:
+        scores += map(float, _gather(fields, first[rows] + 2))
+    except ValueError as exc:
+        # the list keeps the scores parsed before the bad one
+        faults.append((rows[len(scores)], f"bad float: {exc}"))
+    scores = np.array(scores, dtype=np.float64)
+    non_finite = np.flatnonzero(~np.isfinite(scores))
+    if non_finite.size:
+        faults.append((rows[non_finite[0]], "non-finite value"))
+    if faults:
+        i, reason = min(faults)
+        raise ParseError(path, int(line[i]), reason)
+    return ScoredTrialSet(TrialList(_gather(fields, first), _gather(fields, first + 1),
+                                    lines=line), scores)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ the context width of TDNN layer i.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,6 +53,9 @@ class TdnnLayerSpec:
     def __post_init__(self):
         if not self.offsets:
             raise ArgumentError("a TDNN layer needs at least one context offset")
+        if self.in_dim < 1 or self.out_dim < 1:
+            raise ArgumentError(f"TDNN layer dims must be positive, got {self.in_dim} -> "
+                                f"{self.out_dim}")
 
     @property
     def context_width(self) -> int:
@@ -260,9 +264,10 @@ def _embed(model: E2EModel, frames: list[np.ndarray], with_cache: bool):
     return X, stacks
 
 
-def score_trials(model: E2EModel, trials: list[Trial], utts) -> ScoredTrialSet:
+def score_trials(model: E2EModel, trials: Sequence[Trial], utts) -> ScoredTrialSet:
     """Embed each utterance of ``utts`` (an UtteranceSet) the trials reference once; score them."""
-    return ScoredTrialSet(trials, _scores(model, TrialBatch(utts, trials, labelled=False)))
+    batch = TrialBatch(utts, trials, labelled=False)
+    return ScoredTrialSet(batch.trials, _scores(model, batch))
 
 
 def _frames(batch: TrialBatch) -> list[np.ndarray]:

@@ -24,6 +24,7 @@ backend is initialized from.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -413,9 +414,11 @@ def score_pairs_dense(model: PldaModel, raw_e: np.ndarray, raw_t: np.ndarray) ->
     return 0.5 * full + model.k
 
 
-def score_trials(model: PldaModel, trials: list[Trial], embeddings: UtteranceSet) -> ScoredTrialSet:
+def score_trials(model: PldaModel, trials: Sequence[Trial],
+                 embeddings: UtteranceSet) -> ScoredTrialSet:
     """Score labelled or unlabelled trials against raw embeddings."""
-    return ScoredTrialSet(trials, _scores(model, TrialBatch(embeddings, trials, labelled=False)))
+    batch = TrialBatch(embeddings, trials, labelled=False)
+    return ScoredTrialSet(batch.trials, _scores(model, batch))
 
 
 def _scores(model: PldaModel, batch: TrialBatch) -> np.ndarray:

@@ -20,6 +20,7 @@ sides of each trial and score the row-aligned pairs.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,9 +161,11 @@ def forward(params: NpldaParams, eta_e: np.ndarray, eta_t: np.ndarray):
     return float(scores[0]) if eta_e.ndim == 1 else scores
 
 
-def score_trials(params: NpldaParams, trials: list[Trial], embeddings: UtteranceSet) -> ScoredTrialSet:
+def score_trials(params: NpldaParams, trials: Sequence[Trial],
+                 embeddings: UtteranceSet) -> ScoredTrialSet:
     """Score trials, embedding each referenced utterance exactly once."""
-    return ScoredTrialSet(trials, _scores(params, TrialBatch(embeddings, trials, labelled=False)))
+    batch = TrialBatch(embeddings, trials, labelled=False)
+    return ScoredTrialSet(batch.trials, _scores(params, batch))
 
 
 def _scores(params: NpldaParams, batch: TrialBatch) -> np.ndarray:
@@ -335,7 +338,7 @@ def _fit(model: ParamVector, batches, cfg: LossConfig, epochs: int, seed: int, l
     # updated in place, ``current`` is the result when no development set picks one
     best = current if dev is None else current.copy()
     best_cost = np.inf if dev is None else evaluate(
-        ScoredTrialSet(dev.trials, scores(current, dev), dev.labels), cfg.weights).min_dcf
+        ScoredTrialSet(dev.trials, scores(current, dev)), cfg.weights).min_dcf
     since_improved = 0
     trace: list[TraceRow] = []
     for epoch in range(1, epochs + 1):
@@ -352,8 +355,7 @@ def _fit(model: ParamVector, batches, cfg: LossConfig, epochs: int, seed: int, l
             adam_step(current, grads, state)
             losses.append(loss)
         if dev is not None:
-            report = evaluate(ScoredTrialSet(dev.trials, scores(current, dev), dev.labels),
-                              cfg.weights)
+            report = evaluate(ScoredTrialSet(dev.trials, scores(current, dev)), cfg.weights)
             dev_e, dev_c = report.eer, report.min_dcf
             if dev_c < best_cost:
                 best_cost = dev_c
@@ -389,4 +391,7 @@ def _from_checkpoint(params: dict[str, np.ndarray], meta: dict[str, str]) -> Npl
         (lda_dim, in_dim), (out_dim,) = np.shape(params["W1"]), np.shape(params["p"])
     except (KeyError, ValueError):
         raise ModelError("parameters W1 (a matrix) and p (a vector) give the layout") from None
+    if out_dim > lda_dim:
+        raise ModelError(f"head needs out_dim <= lda_dim, got out_dim {out_dim} (p) and "
+                         f"lda_dim {lda_dim} (W1)")
     return NpldaParams._over(_layout(in_dim, lda_dim, out_dim)).from_dict(params)

@@ -25,8 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import (NONTARGET, TARGET, Trial, Utterance, UtteranceSet, _index_sides, _labels,
-                   _write_lines, pair_index)
+from .data import (NONTARGET, TARGET, Trial, TrialList, Utterance, UtteranceSet, _index_sides,
+                   _labels, _write_lines, pair_index)
 from .errors import ArgumentError, SamplerError
 
 UTTS_PER_BATCH = 64
@@ -84,9 +84,11 @@ class CrossProduct(Sequence):
 class TrialBatch:
     """Trials plus the utterances they reference, indexed once when built.
 
-    ``ids`` are the sorted ids the trials reference, ``e_idx``/``t_idx``
-    each trial's two rows among them and ``labels`` the 0/1 label vector,
-    whether ``trials`` is a list or a CrossProduct.  A CrossProduct also sets
+    ``trials`` is a CrossProduct or a TrialList; any other sequence of
+    Trials is stored as a TrialList.  ``ids`` are the sorted ids the trials
+    reference, ``e_idx``/``t_idx`` each trial's two rows among them and
+    ``labels`` the 0/1 label vector, read from the trials' columns or label
+    matrix, so building a batch makes no Trial.  A CrossProduct also sets
     ``block``, the rows of its enroll and of its test ids, and its trials
     come in its enroll-major order.  Training, dev selection and scoring
     read these.  A batch cannot be built with a trial naming an utterance it
@@ -96,7 +98,7 @@ class TrialBatch:
     """
 
     utterances: UtteranceSet
-    trials: list[Trial] | CrossProduct
+    trials: TrialList | CrossProduct
     gender: str | None = None
     dataset_id: str | None = None
     tag: str = ""
@@ -111,6 +113,7 @@ class TrialBatch:
             self.t_idx = np.tile(t_rows, len(e_rows))
             self.labels = self.trials.labels.ravel()
         else:
+            self.trials = TrialList.of(self.trials)
             self.block = None
             self.ids, self.e_idx, self.t_idx = pair_index(self.trials, self.utterances)
             self.labels = _labels(self.trials) if labelled else None

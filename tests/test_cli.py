@@ -381,7 +381,7 @@ class TestTrainScoreEvaluate:
         dev = data.read_embeddings(out / "dev.embeddings")
         trials = data.read_trials(out / "dev.trials")
         scored = gplda.score_trials(model, trials, dev)
-        assert np.allclose([r[2] for r in rows], scored.scores)
+        assert np.allclose(rows.scores, scored.scores)
 
     def test_swapped_trial_columns_equal_scores(self, trained_gplda, emb_workspace, tmp_path):
         root, cfg, out = emb_workspace
@@ -394,8 +394,8 @@ class TestTrainScoreEvaluate:
              "--data", str(out / "dev.embeddings"), "--out", str(a)])
         run(["score", "--model", str(trained_gplda), "--trials", str(swapped_file),
              "--data", str(out / "dev.embeddings"), "--out", str(b)])
-        sa = [r[2] for r in data.read_scores(a)]
-        sb = [r[2] for r in data.read_scores(b)]
+        sa = data.read_scores(a).scores
+        sb = data.read_scores(b).scores
         assert np.allclose(sa, sb)
 
     def test_scoring_deterministic(self, trained_gplda, emb_workspace, tmp_path):
@@ -468,6 +468,26 @@ class TestTrainScoreEvaluate:
         key.write_text("a b target\n")
         assert run(["evaluate", "--scores", str(scores), "--key", str(key)]) == 1
         assert "missing" in capsys.readouterr().err
+
+    def test_shuffled_score_file_evaluates_the_same(self, trained_gplda, emb_workspace,
+                                                    tmp_path, capsys):
+        # evaluate matches score lines to key lines by pair, whatever their order
+        root, cfg, out = emb_workspace
+        ordered, shuffled = tmp_path / "ordered.scores", tmp_path / "shuffled.scores"
+        assert run(["score", "--model", str(trained_gplda), "--trials", str(out / "dev.trials"),
+                    "--data", str(out / "dev.embeddings"), "--out", str(ordered)]) == 0
+        lines = ordered.read_text().splitlines(keepends=True)
+        shuffled.write_text("".join(lines[i] for i in np.random.default_rng(0).permutation(
+            len(lines))))
+        printed = []
+        for scores in (ordered, shuffled):
+            capsys.readouterr()
+            assert run(["evaluate", "--scores", str(scores), "--key", str(out / "dev.trials"),
+                        "--extra-p-target", "0.1"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert (Path(f"{ordered}.metrics.csv").read_bytes()
+                == Path(f"{shuffled}.metrics.csv").read_bytes())
 
     def test_malformed_scores_exit_one(self, tmp_path):
         scores = tmp_path / "scores.txt"
@@ -734,6 +754,47 @@ class TestE2EModelBuilt:
         model = e2e.load_e2e(tmp_path / "m.e2e")
         assert (model.config.head_lda_dim, model.config.head_out_dim) == (3, 2)
 
+    def test_init_config_matches_the_checkpoint(self, feat_workspace, tmp_path):
+        # [e2e] says 5/4 and the --init head is 3/2: both files give the checkpoint's 3/2
+        root, cfg, out = feat_workspace
+        head_path, ck = tmp_path / "head.nplda", tmp_path / "m.e2e"
+        nplda.save_nplda(nplda.init_random(6, 3, 2, seed=9), head_path)
+        assert self._train(cfg, out, ck, "-O", "optimizer.epochs=0", "--init",
+                           str(head_path)) == 0
+        _, meta = load_params(ck)
+        resolved = cli.Config(f"{ck}.config.ini")
+        for key in ("head_lda_dim", "head_out_dim"):
+            assert resolved.get("e2e", key) == meta[key]
+        assert (meta["head_lda_dim"], meta["head_out_dim"]) == ("3", "2")
+
+    @pytest.mark.parametrize("head, named", [
+        (lambda: nplda.init_random(9, 5, 4, seed=9), "head expects dim 9, extractor emits 6"),
+        (lambda: nplda.NpldaParams._over(nplda._layout(6, 2, 3)),
+         "head needs out_dim <= lda_dim, got out_dim 3 (p) and lda_dim 2 (W1)"),
+    ], ids=["input-dim", "out-dim-above-lda-dim"])
+    def test_init_head_errors_name_the_file(self, feat_workspace, tmp_path, capsys, monkeypatch,
+                                            head, named):
+        root, cfg, out = feat_workspace
+        head_path = tmp_path / "head.nplda"
+        nplda.save_nplda(head(), head_path)
+        monkeypatch.setattr(e2e, "batch_loss_and_grads", None)
+        assert self._train(cfg, out, tmp_path / "m.e2e", "--init", str(head_path)) == 1
+        assert f"{head_path}: {named}" in capsys.readouterr().err
+        assert not (tmp_path / "m.e2e").exists()
+
+    @pytest.mark.parametrize("override, named", [
+        ("e2e.layers=4 0 0", "[e2e] layers line '4 0 0': TDNN layer dims must be positive"),
+        ("e2e.freeze_prefix=9", "[e2e] freeze_prefix = 9: expected 0 to 2"),
+        ("e2e.freeze_prefix=-1", "[e2e] freeze_prefix = -1: expected 0 to 2"),
+    ], ids=["zero-layer-dim", "freeze-past-the-layers", "negative-freeze"])
+    def test_e2e_value_names_its_key(self, feat_workspace, tmp_path, capsys, monkeypatch,
+                                     override, named):
+        root, cfg, out = feat_workspace
+        monkeypatch.setattr(e2e, "batch_loss_and_grads", None)
+        assert self._train(cfg, out, tmp_path / "m.e2e", "-O", override) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "m.e2e").exists()
+
     @pytest.mark.parametrize("extra, named", [
         (["--pooling", "variance"], "pooling"),
         (["-O", "e2e.embedding_dim=5"], "embedding_dim"),
@@ -837,6 +898,18 @@ class TestInputChecks:
         assert run(argv + ["--out", str(out)]) == 1
         assert f"{bad}: data has {dims}" in capsys.readouterr().err
         assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
+
+    def test_gplda_needs_a_speaker_with_two_utterances(self, emb_workspace, tmp_path, capsys):
+        _, cfg, out = emb_workspace
+        firsts = {}
+        for u in data.read_embeddings(out / "train.embeddings"):
+            firsts.setdefault(u.speaker_id, u)
+        single = tmp_path / "single.embeddings"
+        data.write_embeddings(firsts.values(), single)
+        assert run(["train", "gplda", "--config", cfg, "-O", f"data.train_embeddings={single}",
+                    "--out", str(tmp_path / "m.gplda")]) == 1
+        assert f"{single}: no speaker has two utterances" in capsys.readouterr().err
+        assert not (tmp_path / "m.gplda").exists()
 
     @pytest.fixture(scope="class")
     def checkpoints(self, trained_gplda, tmp_path_factory):

@@ -145,7 +145,7 @@ class TestTrialAndScoreFiles:
         path = tmp_path / "trials.txt"
         data.write_trials(trials, path)
         back = data.read_trials(path)
-        assert back == trials
+        assert list(back) == trials
 
     def test_score_round_trip(self, tmp_path):
         trials = [data.Trial("a", "b", "target"), data.Trial("c", "d", "nontarget")]
@@ -153,7 +153,8 @@ class TestTrialAndScoreFiles:
         path = tmp_path / "scores.txt"
         data.write_scores(scored, path)
         back = data.read_scores(path)
-        assert back == [("a", "b", 1.25), ("c", "d", -3.5)]
+        assert list(back.trials) == [data.Trial("a", "b"), data.Trial("c", "d")]
+        assert back.scores.tolist() == [1.25, -3.5]
 
     def test_bad_label_rejected(self, tmp_path):
         path = tmp_path / "trials.txt"
@@ -269,7 +270,7 @@ class TestTextLayer:
 
     def test_one_formatter_and_one_writer(self):
         src = Path(data.__file__).parent
-        assert _code_sites(src, _formats_17g) == {("data.py", "_fmt")}
+        assert _code_sites(src, _formats_17g) == {("data.py", None)}
         assert _code_sites(src, _opens_for_writing) == {("data.py", "_write_lines")}
 
 
@@ -299,7 +300,7 @@ class TestMakeTrials:
         utts = [_utt(f"u{i}", "s1", [float(i)]) for i in range(3)]
         trials = data.make_trials(utts, 5, 0.5, seed=0)
         assert len({(t.enroll_id, t.test_id) for t in trials}) == 5
-        assert all(t.is_target for t in trials)
+        assert all(t.label == data.TARGET for t in trials)
 
 
 class TestChunking:

@@ -177,9 +177,9 @@ class TestScoreTrialBatch:
         rng = np.random.default_rng(11)
         model = e2e.init_e2e(tiny_config(), seed=12)
         batch = tiny_batch(rng)
-        batch.trials.append(data.Trial("f0", "ghost", data.TARGET))
+        trials = list(batch.trials) + [data.Trial("f0", "ghost", data.TARGET)]
         with pytest.raises(MissingIdError) as exc:
-            e2e.score_trials(model, batch.trials, batch.utterances)
+            e2e.score_trials(model, trials, batch.utterances)
         assert "ghost" in str(exc.value)
 
     def test_only_referenced_utterances_embedded(self):

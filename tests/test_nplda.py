@@ -296,19 +296,15 @@ class TestTraining:
         batches = sampling.sample_epoch_algo2(
             data.synth_plda_embeddings(2.0 * np.eye(12)[:, :3], np.eye(12), 20, 10, seed=10),
             sampling.SamplerConfig(seed=11), n_batches=2)
-        built = []
-
-        def counted(ts):
-            built.append(ts)
-            return labels(ts)
-
-        labels = data._labels
-        monkeypatch.setattr(data, "_labels", counted)
-        monkeypatch.setattr(sampling, "_labels", counted)
+        dev_batch = sampling.TrialBatch(dev, trials)
+        read = []
+        labels = data.ScoredTrialSet.labels
+        monkeypatch.setattr(data.ScoredTrialSet, "labels",
+                            lambda self: read.append(labels(self)) or read[-1])
         _, trace = nplda.train(nplda.init_from_gplda(model), batches, nplda.LossConfig(),
-                               epochs=3, seed=12, dev=sampling.TrialBatch(dev, trials))
+                               epochs=3, seed=12, dev=dev_batch)
         assert len(trace) == 3
-        assert len(built) == 1 and built[0] is trials
+        assert len(read) == 4 and all(r is dev_batch.labels for r in read)
 
     def test_non_finite_loss_names_batch(self):
         rng = np.random.default_rng(13)

@@ -94,7 +94,7 @@ TRIALS = st.lists(st.builds(data.Trial, TOKENS, TOKENS,
 @given(trials=TRIALS)
 def test_trial_file_cycle(trials):
     back, first, second = _cycle(data.write_trials, data.read_trials, trials)
-    assert back == trials
+    assert list(back) == trials
     assert first == second
 
 
@@ -102,13 +102,9 @@ def test_trial_file_cycle(trials):
 @given(trials=TRIALS, draws=st.data())
 def test_score_file_cycle(trials, draws):
     scores = draws.draw(arrays(np.float64, len(trials), elements=FINITE), label="scores")
-
-    def rewrite(rows, path):
-        data.write_scores(data.ScoredTrialSet([data.Trial(e, t) for e, t, _ in rows],
-                                              np.array([s for _, _, s in rows])), path)
-
     back, first, second = _cycle(data.write_scores, data.read_scores,
-                                 data.ScoredTrialSet(trials, scores), rewrite=rewrite)
-    assert [(e, t) for e, t, _ in back] == [(t.enroll_id, t.test_id) for t in trials]
-    assert _bits([s for _, _, s in back]) == _bits(scores)
+                                 data.ScoredTrialSet(trials, scores))
+    assert [(t.enroll_id, t.test_id) for t in back.trials] == [(t.enroll_id, t.test_id)
+                                                               for t in trials]
+    assert _bits(back.scores) == _bits(scores)
     assert first == second

@@ -209,7 +209,7 @@ class TestAlgo1:
             trials = [t for b in batches for t in b.trials]
             assert len(trials) == n_trials
             for t in trials:
-                assert t.is_target == (speaker[t.enroll_id] == speaker[t.test_id])
+                assert (t.label == data.TARGET) == (speaker[t.enroll_id] == speaker[t.test_id])
 
 
 class TestPoolAndShuffle:

@@ -65,7 +65,7 @@ def test_algo1_invariants(utts, draws, target_ratio, seed):
     for t in trials:
         e, s = by_id[t.enroll_id], by_id[t.test_id]
         assert (e.gender, e.dataset_id) == (s.gender, s.dataset_id)
-        assert t.is_target == (e.speaker_id == s.speaker_id)
+        assert (t.label == data.TARGET) == (e.speaker_id == s.speaker_id)
 
 
 @settings(max_examples=250, deadline=None)
@@ -103,7 +103,7 @@ def test_algo2_epoch_invariants(utts, pairs, m_min, m_span, n_batches, seed):
         assert [(t.enroll_id, t.test_id) for t in b.trials] == [(e, s) for e in enroll
                                                                  for s in test]
         for t in b.trials:
-            assert t.is_target == (speaker[t.enroll_id] == speaker[t.test_id])
+            assert (t.label == data.TARGET) == (speaker[t.enroll_id] == speaker[t.test_id])
         per_speaker = Counter(speaker.values())
         assert all(n % 2 == 0 for n in per_speaker.values())
         assert Counter(speaker[i] for i in enroll) == Counter(speaker[i] for i in test)
