@@ -16,6 +16,7 @@ import sys
 from collections import defaultdict
 
 import numpy as np
+import numpy.random  # numpy loads it lazily: load it here, not at the first draw
 
 from . import data as dm
 from . import e2e as e2e_mod
@@ -447,12 +448,14 @@ def cmd_train(args) -> int:
     inputs = [(train_path, train_set)] + ([(dev_path, dev.utterances)] if dev is not None else [])
 
     if args.kind == "gplda":
+        if (lda_dim := cfg.getint("gplda", "lda_dim")) < 1:
+            raise ConfigError(f"[gplda] lda_dim = {lda_dim}: expected at least 1")
         _check_inputs(inputs, train_set.dim)
         if len(set(train_set.speaker_labels())) == len(train_set):
             raise ArgumentError(f"{train_path}: no speaker has two utterances, so the "
                                 "within-speaker covariance cannot be estimated")
         latent = cfg.get("gplda", "latent_dim").strip()
-        chain = gplda_mod.fit_preprocess(train_set, target_dim=cfg.getint("gplda", "lda_dim"))
+        chain = gplda_mod.fit_preprocess(train_set, target_dim=lda_dim)
         best = gplda_mod.em_fit(
             (chain.apply(train_set.embedding_matrix()), train_set.speaker_labels()),
             latent_dim=cfg.getint("gplda", "latent_dim") if latent else None,

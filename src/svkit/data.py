@@ -26,6 +26,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy loads it lazily: load it here, not at the first draw
 
 from .errors import (
     ArgumentError,

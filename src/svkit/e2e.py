@@ -23,6 +23,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
+import numpy.random  # numpy loads it lazily: load it here, not at the first draw
 
 from . import nplda
 from .checkpoint import _load_kind, save_params

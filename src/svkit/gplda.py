@@ -28,7 +28,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import nn
 from .checkpoint import _load_kind, save_params
@@ -124,8 +123,11 @@ def fit_preprocess(
 
     The LDA rows are the top generalized eigenvectors of the (between,
     within) scatter pair, which also whitens the within-class scatter.  The
-    target dimension is clamped to min(D, n_speakers - 1) with a warning.
+    target dimension must be at least 1 and is clamped to min(D, n_speakers - 1)
+    with a warning.
     """
+    if target_dim < 1:
+        raise ArgumentError(f"LDA target_dim must be at least 1, got {target_dim}")
     X, speakers = _as_matrix(embeddings)
     counts, means, Sw = _speaker_stats(X, speakers)
     n_spk = len(counts)
@@ -151,6 +153,8 @@ def fit_preprocess(
         lam = 1e-6 * np.trace(Sw) / d
         warnings.warn(f"singular within-class scatter, adding ridge {lam:.3e}")
         Sw = Sw + lam * np.eye(d)
+    import scipy.linalg  # only fitting solves a generalized eigenproblem; loading scipy is slow
+
     try:
         eigvals, eigvecs = scipy.linalg.eigh(Sb, Sw)
     except scipy.linalg.LinAlgError as exc:
@@ -342,6 +346,8 @@ def make_model(
 
 def simultaneous_diagonalizer(sigma_ac: np.ndarray, sigma_wc: np.ndarray):
     """V with V' Sigma_wc V = I and V' Sigma_ac V = diag(psi), psi >= 0."""
+    import scipy.linalg  # see fit_preprocess
+
     try:
         psi, V = scipy.linalg.eigh(sigma_ac, sigma_wc)
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:

@@ -97,6 +97,19 @@ def _candidate_thresholds(distinct: np.ndarray) -> np.ndarray:
     return np.minimum(cands, np.append(distinct, np.inf), out=cands)
 
 
+def _distinct(scores: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of finite ``scores``, as ``np.unique`` gives them.
+
+    One sort and a neighbour mask: ``np.unique`` checks for masked arrays, and
+    its first call imports ``numpy.ma``.
+    """
+    ordered = np.sort(scores)
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
+
+
 def _sweep(scored: ScoredTrialSet):
     """Every candidate threshold with its P_Miss and P_FA, from one read of the labels.
 
@@ -105,7 +118,7 @@ def _sweep(scored: ScoredTrialSet):
     each distinct score belongs to a target or a non-target.
     """
     is_tgt = _targets(scored)
-    cands = _candidate_thresholds(np.unique(scored.scores))
+    cands = _candidate_thresholds(_distinct(scored.scores))
     return cands, *error_rates(scored.scores[is_tgt], scored.scores[~is_tgt], cands)
 
 

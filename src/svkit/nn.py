@@ -90,7 +90,8 @@ def _tdnn_pre(X: np.ndarray, offsets: np.ndarray, W: np.ndarray, b: np.ndarray):
     """Spliced context frames and pre-activations of X, (T, k) or (N, T, k).
 
     Each offset contributes one time slice of X; the slices are concatenated
-    on the feature axis and fed to one GEMM over every frame of the stack.
+    on the feature axis and fed to one GEMM over every frame of the stack.  A
+    single offset's slice is all of X, which the GEMM reads without a copy.
     """
     if X.ndim not in (2, 3):
         raise ShapeError(f"tdnn input must be (T, k) or (N, T, k), got {X.shape}")
@@ -105,7 +106,7 @@ def _tdnn_pre(X: np.ndarray, offsets: np.ndarray, W: np.ndarray, b: np.ndarray):
     if T_out < 1:
         raise LengthError(f"input has {T} frames, context span {span} needs more")
     starts = offsets - offsets.min()
-    X_cat = np.concatenate([X[..., s:s + T_out, :] for s in starts], axis=-1)
+    X_cat = X if C == 1 else np.concatenate([X[..., s:s + T_out, :] for s in starts], axis=-1)
     pre = X_cat.reshape(-1, C * k_in) @ W.T + b
     return starts, X_cat, pre.reshape(*X.shape[:-2], T_out, W.shape[0])
 

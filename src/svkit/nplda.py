@@ -24,6 +24,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # numpy loads it lazily: load it here, not at the first draw
 
 from .checkpoint import _load_kind, save_params
 from .data import ScoredTrialSet, Trial, UtteranceSet, _write_lines

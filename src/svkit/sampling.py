@@ -24,6 +24,7 @@ from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
+import numpy.random  # numpy loads it lazily: load it here, not at the first draw
 
 from .data import (NONTARGET, TARGET, Trial, TrialList, Utterance, UtteranceSet, _index_sides,
                    _labels, _write_lines, pair_index)

@@ -911,6 +911,17 @@ class TestInputChecks:
         assert f"{single}: no speaker has two utterances" in capsys.readouterr().err
         assert not (tmp_path / "m.gplda").exists()
 
+    @pytest.mark.parametrize("lda_dim", [0, -3])
+    def test_lda_dim_below_one_names_its_key(self, emb_workspace, tmp_path, capsys, lda_dim):
+        _, cfg, out = emb_workspace
+        assert run(["train", "gplda", "--config", cfg, "-O", f"gplda.lda_dim={lda_dim}",
+                    "-O", f"data.train_embeddings={out / 'train.embeddings'}",
+                    "-O", f"data.dev_embeddings={out / 'dev.embeddings'}",
+                    "-O", f"data.dev_trials={out / 'dev.trials'}",
+                    "--out", str(tmp_path / "m.gplda")]) == 1
+        assert f"[gplda] lda_dim = {lda_dim}: expected at least 1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     @pytest.fixture(scope="class")
     def checkpoints(self, trained_gplda, tmp_path_factory):
         root = tmp_path_factory.mktemp("empty")

@@ -67,6 +67,12 @@ class TestFitPreprocess:
             chain = gplda.fit_preprocess(utts, target_dim=5)
         assert chain.out_dim == 1  # 2 speakers allow only 1 dimension
 
+    @pytest.mark.parametrize("target_dim", [0, -3])
+    def test_target_dim_below_one_refused(self, target_dim):
+        utts = self._two_cluster_set(np.random.default_rng(5))
+        with pytest.raises(ArgumentError, match=f"target_dim must be at least 1, got {target_dim}"):
+            gplda.fit_preprocess(utts, target_dim=target_dim)
+
     def test_needs_two_speakers(self):
         rng = np.random.default_rng(4)
         utts = data.UtteranceSet(

@@ -187,6 +187,25 @@ class TestStackedUtterances:
         self.assert_close(dW, sum(g[1] for g in per))
         self.assert_close(db, sum(g[2] for g in per))
 
+    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
+    def test_single_offset_equals_its_splice_bit_for_bit(self, layout):
+        # one offset feeds X itself to the GEMM; the splice was a copy of X
+        rng = rand(34)
+        for N, T, k, k_out in ((self.N, 9, 3, 4), (8, 100, 48, 16), (1, 1, 1, 1)):
+            X = (rng.standard_normal((N, T, k)) if layout == "contiguous"
+                 else rng.standard_normal((T, N, k)).swapaxes(0, 1))
+            W, b = rng.standard_normal((k_out, k)), rng.standard_normal(k_out)
+            dY = rng.standard_normal((N, T, k_out))
+            X_cat = np.concatenate([X[..., 0:T, :]], axis=-1)
+            pre = (X_cat.reshape(-1, k) @ W.T + b).reshape(N, T, k_out)
+            dpre = (dY * (pre > 0.0)).reshape(-1, k_out)
+            dX = np.zeros_like(X)
+            dX[..., 0:T, :] += (dpre @ W).reshape(N, T, k)
+            spliced = (nn.relu(pre), dX, dpre.T @ X_cat.reshape(-1, k), dpre.sum(axis=0))
+            got = (nn.tdnn_layer(X, (0,), W, b), *nn.tdnn_layer_backward(dY, X, (0,), W, b))
+            for a, want in zip(got, spliced):
+                assert a.shape == want.shape and a.tobytes() == want.tobytes()
+
     def test_backward_without_input_grad(self):
         rng = rand(33)
         offsets = [-1, 0, 2]

@@ -4,6 +4,7 @@ import contextlib
 import io
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -134,6 +135,42 @@ def test_one_sweep_serves_every_metric(scores, data_, weights):
         np.mean([metrics.min_dcf(scored, w)[0] for w in OPERATING_POINTS]))
     assert report.min_dcf_avg == report.min_dcf
     assert metrics.eer(scored) == pytest.approx(_staircase_eer(scores, labels), abs=1e-12)
+
+
+# finite floats that are hard to sort and compare: both zeros, the extremes, subnormals;
+# small integers and repeated draws give ties
+TINY = np.finfo(float).smallest_subnormal
+HARD_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e308, -1e308, np.finfo(float).max, -np.finfo(float).max,
+                     TINY, -TINY, 3 * TINY, np.finfo(float).smallest_normal]),
+    st.integers(-3, 3).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _bits(*values):
+    return tuple(float(v).hex() for v in values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scores=st.lists(HARD_FLOATS, min_size=2, max_size=40), data_=st.data(),
+       weights=st.sampled_from(OPERATING_POINTS))
+def test_distinct_scores_are_np_unique_bit_for_bit(scores, data_, weights):
+    s = np.array(scores, dtype=np.float64)
+    assert metrics._distinct(s).tobytes() == np.unique(s).tobytes()
+    n = len(scores)
+    labels = data_.draw(st.lists(st.booleans(), min_size=n, max_size=n)
+                        .filter(lambda ys: any(ys) and not all(ys)), label="labels")
+    scored = _scored(s, labels)
+    first, *extra = OPERATING_POINTS
+    results = []
+    for distinct in (metrics._distinct, np.unique):
+        with mock.patch.object(metrics, "_distinct", distinct):
+            report = metrics.evaluate(scored, first, extra)
+            results.append(_bits(report.eer, report.min_dcf, report.threshold,
+                                 report.min_dcf_avg, *metrics.min_dcf(scored, weights),
+                                 metrics.eer(scored)))
+    assert results[0] == results[1]
 
 
 @settings(max_examples=50, deadline=None)
