@@ -43,7 +43,7 @@ def save_params(path, params: dict[str, np.ndarray], meta: dict[str, str] | None
 
 
 def load_params(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0].split() != [MAGIC, VERSION]:
         raise ParseError(path, 1, f"expected header '{MAGIC} {VERSION}'")

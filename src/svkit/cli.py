@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
 import io
+import locale  # argparse's messages load it through gettext: load it here, not in main
+import math
 import os
 import sys
 from collections import defaultdict
@@ -104,6 +107,13 @@ _OPTIONAL_KEYS = {
     "data": ("train_embeddings", "dev_embeddings", "dev_trials", "train_features", "dev_features"),
 }
 
+# (section, key) -> (type, test, what the test asks): checked when a config loads
+_RANGES = {
+    ("optimizer", "lr"): (float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0"),
+    ("optimizer", "epochs"): (int, lambda v: v >= 1, "at least 1"),
+    ("optimizer", "patience"): (int, lambda v: v >= 1, "at least 1"),
+}
+
 
 class Config:
     """INI-backed experiment configuration with CLI overrides."""
@@ -117,7 +127,7 @@ class Config:
             if not os.path.exists(path):
                 raise ConfigError(f"config file not found: {path}")
             try:
-                self.parser.read(path)
+                self.parser.read(path, encoding="utf-8")
             except configparser.Error as exc:
                 # ParsingError lists every bad line; the other read errors name their one
                 line = getattr(exc, "lineno", None) or exc.errors[0][0]
@@ -136,6 +146,10 @@ class Config:
             for name in self.parser[section]:
                 if name not in known:
                     raise ConfigError(f"unknown config key [{section}] {name}")
+        for (section, key), (kind, test, expected) in _RANGES.items():
+            if not test(self._parse(kind, section, key)):
+                raise ConfigError(f"[{section}] {key} = {self.get(section, key)!r}: "
+                                  f"expected {expected}")
 
     def get(self, section: str, key: str, default: str | None = None) -> str:
         try:
@@ -685,7 +699,32 @@ def build_parser() -> _Parser:
     return parser
 
 
+# glibc's mallopt parameters
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_memory() -> None:
+    """Let glibc's malloc reuse freed memory instead of returning it to the OS.
+
+    An E2E training step frees and allocates again temporaries of a few
+    hundred kilobytes.  By default glibc maps such blocks one by one and trims
+    the top of the heap, so every step faults in and zero-fills its memory
+    afresh.  Heap blocks up to 32 MiB, and up to 64 MiB of free memory at the
+    top of the heap, remove that cost.  Another C library is left as it is.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+        libc.gnu_get_libc_version  # only glibc has it
+        mallopt = libc.mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -293,7 +293,7 @@ def _write_lines(path, lines) -> None:
     """Write ``lines`` to ``<path>.tmp``, then rename it over ``path``."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             fh.writelines(lines)
         os.replace(tmp, path)
     except BaseException:
@@ -353,7 +353,7 @@ def write_embeddings(utterances, path) -> None:
 def read_embeddings(path) -> UtteranceSet:
     utts = []
     dim = None
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for line_no, parts in _records(enumerate(fh, start=1)):
             if len(parts) < 5:
                 raise ParseError(path, line_no, f"expected at least 5 fields, got {len(parts)}")
@@ -386,7 +386,7 @@ def write_features(utterances, path) -> None:
 def read_features(path) -> UtteranceSet:
     utts = []
     dim = None
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         numbered = enumerate(fh, start=1)
         for line_no, parts in _records(numbered):
             if len(parts) != 6:
@@ -423,7 +423,7 @@ def _table(path, comment: str | None = None):
     as iterating the file numbers them.  With ``comment``, a record whose
     first field starts with that character is dropped.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         text = fh.read()
     # the numpy pass frees its arrays before the fields are made
     first, count, line = _record_layout(text, comment)

@@ -236,11 +236,14 @@ def _extract_backward(model: E2EModel, stacks, demb: np.ndarray, grads: E2EModel
         dpooled, dWe, dbe = affine_backward(demb[rows], pooled, model.emb_W)
         grads.emb_W += dWe
         grads.emb_b += dbe
-        dX = stats_pool_backward(dpooled, last, cfg.pooling)
+        dX = stats_pool_backward(dpooled, last, cfg.pooling, pooled=pooled)
+        # each layer's output is the next one's input, so no forward pass runs again
+        outputs = layer_inputs[1:] + [last]
         for i in reversed(range(len(cfg.layers))):
             # nothing reads the gradient at the features, layer 0's input
             dX, dW, db = tdnn_layer_backward(dX, layer_inputs[i], cfg.layers[i].offsets,
-                                             model.tdnn_W[i], model.tdnn_b[i], input_grad=i > 0)
+                                             model.tdnn_W[i], model.tdnn_b[i], input_grad=i > 0,
+                                             Y=outputs[i])
             grads.tdnn_W[i] += dW
             grads.tdnn_b[i] += db
     return grads

@@ -86,12 +86,12 @@ def length_norm_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _tdnn_pre(X: np.ndarray, offsets: np.ndarray, W: np.ndarray, b: np.ndarray):
-    """Spliced context frames and pre-activations of X, (T, k) or (N, T, k).
+def _tdnn_splice(X: np.ndarray, offsets: np.ndarray, W: np.ndarray, b: np.ndarray):
+    """Context offsets' start frames and the spliced frames of X, (T, k) or (N, T, k).
 
     Each offset contributes one time slice of X; the slices are concatenated
-    on the feature axis and fed to one GEMM over every frame of the stack.  A
-    single offset's slice is all of X, which the GEMM reads without a copy.
+    on the feature axis.  A single offset's slice is all of X, which is
+    returned without a copy.
     """
     if X.ndim not in (2, 3):
         raise ShapeError(f"tdnn input must be (T, k) or (N, T, k), got {X.shape}")
@@ -107,8 +107,15 @@ def _tdnn_pre(X: np.ndarray, offsets: np.ndarray, W: np.ndarray, b: np.ndarray):
         raise LengthError(f"input has {T} frames, context span {span} needs more")
     starts = offsets - offsets.min()
     X_cat = X if C == 1 else np.concatenate([X[..., s:s + T_out, :] for s in starts], axis=-1)
-    pre = X_cat.reshape(-1, C * k_in) @ W.T + b
-    return starts, X_cat, pre.reshape(*X.shape[:-2], T_out, W.shape[0])
+    return starts, X_cat
+
+
+def _tdnn_pre(X: np.ndarray, offsets: np.ndarray, W: np.ndarray, b: np.ndarray):
+    """``_tdnn_splice`` of X and the pre-activations: one GEMM over every frame of the stack."""
+    starts, X_cat = _tdnn_splice(X, offsets, W, b)
+    pre = X_cat.reshape(-1, W.shape[1]) @ W.T
+    pre += b
+    return starts, X_cat, pre.reshape(*X_cat.shape[:-1], W.shape[0])
 
 
 def tdnn_layer(X: np.ndarray, offsets, W: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -125,23 +132,31 @@ def tdnn_layer(X: np.ndarray, offsets, W: np.ndarray, b: np.ndarray) -> np.ndarr
 
 
 def tdnn_layer_backward(dY: np.ndarray, X: np.ndarray, offsets, W: np.ndarray, b: np.ndarray,
-                        input_grad: bool = True):
-    """Gradients (dX, dW, db); recomputes the ReLU mask from the inputs.
+                        input_grad: bool = True, *, Y: np.ndarray | None = None):
+    """Gradients (dX, dW, db) of the layer at input X.
 
-    For a stack X of shape (N, T, k), dW and db are summed over its utterances.
-    With ``input_grad`` false dX is None and costs nothing: a model's first
-    layer reads acoustic features, which take no gradient.
+    ``Y``, the layer's output at X, gives the ReLU mask: Y > 0 exactly where
+    the pre-activation is, since Y = max(pre, 0).  Without it the forward
+    GEMM runs again.  For a stack X of shape (N, T, k), dW and db are summed
+    over its utterances.  With ``input_grad`` false dX is None and costs
+    nothing: a model's first layer reads acoustic features, which take no
+    gradient.
     """
     X = np.asarray(X, dtype=np.float64)
     offsets = np.asarray(offsets, dtype=np.int64)
-    starts, X_cat, pre = _tdnn_pre(X, offsets, W, b)
-    dpre = (np.asarray(dY, dtype=np.float64) * (pre > 0.0)).reshape(-1, W.shape[0])
+    if Y is None:
+        starts, X_cat, Y = _tdnn_pre(X, offsets, W, b)
+    else:
+        starts, X_cat = _tdnn_splice(X, offsets, W, b)
+        if (shape := (*X_cat.shape[:-1], W.shape[0])) != Y.shape:
+            raise ShapeError(f"Y has shape {Y.shape}, expected {shape}")
+    dpre = (np.asarray(dY, dtype=np.float64) * (Y > 0.0)).reshape(-1, W.shape[0])
     dW = dpre.T @ X_cat.reshape(dpre.shape[0], -1)
     db = dpre.sum(axis=0)
     if not input_grad:
         return None, dW, db
-    T_out, k_in = pre.shape[-2], X.shape[-1]
-    dX_cat = (dpre @ W).reshape(*pre.shape[:-1], len(starts), k_in)
+    T_out, k_in = Y.shape[-2], X.shape[-1]
+    dX_cat = (dpre @ W).reshape(*Y.shape[:-1], len(starts), k_in)
     dX = np.zeros_like(X)
     # each context offset reads one time slice of X, so it adds back into that slice
     for c, s in enumerate(starts):
@@ -172,19 +187,20 @@ def stats_pool(X: np.ndarray, mode: str = POOL_STDDEV) -> np.ndarray:
     return np.concatenate([mean, second], axis=-1)
 
 
-def stats_pool_backward(dout: np.ndarray, X: np.ndarray, mode: str = POOL_STDDEV) -> np.ndarray:
+def stats_pool_backward(dout: np.ndarray, X: np.ndarray, mode: str = POOL_STDDEV, *,
+                        pooled: np.ndarray | None = None) -> np.ndarray:
+    """Gradient at X given dout; ``pooled``, the forward's ``stats_pool(X, mode)``, saves
+    recomputing the mean and the stddev."""
     X = np.asarray(X, dtype=np.float64)
     dout = np.asarray(dout, dtype=np.float64)
     T, k = X.shape[-2:]
+    if pooled is None:
+        pooled = stats_pool(X, mode)
     dmean, dsecond = dout[..., None, :k], dout[..., None, k:]
-    centered = X - X.mean(axis=-2, keepdims=True)
-    if mode == POOL_STDDEV:
-        std = np.sqrt(np.mean(centered**2, axis=-2, keepdims=True) + EPS_VAR)
-        dvar = dsecond / (2.0 * std)
-    else:
-        dvar = dsecond
+    centered = X - pooled[..., None, :k]
     # d var / d X[t] = 2 centered[t] / T; the mean coupling cancels because
     # the centered columns sum to zero.
+    dvar = dsecond / (2.0 * pooled[..., None, k:]) if mode == POOL_STDDEV else dsecond
     return dmean / T + centered * (2.0 * dvar / T)
 
 

@@ -1,8 +1,10 @@
+import ctypes
 import hashlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +20,11 @@ def run(args):
 def write_config(path, text):
     path.write_text(text)
     return str(path)
+
+
+def pass_through(monkeypatch):
+    """Make `train e2e` write the model it would train, untrained."""
+    monkeypatch.setattr(e2e, "train_e2e", lambda model, *args, **kwargs: (model, []))
 
 
 EMB_CONFIG = """
@@ -279,6 +286,27 @@ class TestLoadTimeErrors:
         assert code == 1
         assert "[loss] learn_theta = 'ture'" in capsys.readouterr().err
         assert not (tmp_path / "model.nplda").exists()
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("lr", "-1", "a finite number > 0"),
+        ("lr", "nan", "a finite number > 0"),
+        ("lr", "inf", "a finite number > 0"),
+        ("epochs", "0", "at least 1"),
+        ("epochs", "-1", "at least 1"),
+        ("patience", "0", "at least 1"),
+        ("patience", "-2", "at least 1"),
+    ])
+    def test_optimizer_value_is_refused_before_any_write(self, trained_gplda, emb_workspace,
+                                                         tmp_path, capsys, key, value, expected):
+        _, cfg, out = emb_workspace
+        code = run([
+            "train", "nplda", "--config", cfg, "-O", f"optimizer.{key}={value}",
+            "-O", f"data.train_embeddings={out}/train.embeddings",
+            "--init", str(trained_gplda), "--out", str(tmp_path / "model.nplda"),
+        ])
+        assert code == 1
+        assert f"[optimizer] {key} = '{value}': expected {expected}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
 
 class TestCheckpointLayout:
@@ -646,23 +674,23 @@ class TestE2ECli:
         _, meta = load_params(ck)
         assert (meta["head_lda_dim"], meta["head_out_dim"]) == ("3", "2")
 
-    def test_extractor_warm_start(self, feat_workspace, tmp_path):
-        # zero epochs: the extractor checkpoint passes through, with --init replacing its head
+    def test_extractor_warm_start(self, feat_workspace, tmp_path, monkeypatch):
+        # untrained: the extractor checkpoint passes through, with --init replacing its head
         root, cfg, out = feat_workspace
         base = ["train", "e2e", "--config", cfg, "--seed", "4",
                 "-O", f"data.train_features={out}/train.features"]
         extractor = tmp_path / "extractor.e2e"
         assert run(base + ["--out", str(extractor)]) == 0
+        pass_through(monkeypatch)
         untouched = tmp_path / "untouched.e2e"
-        assert run(base + ["-O", "optimizer.epochs=0", "--extractor", str(extractor),
-                           "--out", str(untouched)]) == 0
+        assert run(base + ["--extractor", str(extractor), "--out", str(untouched)]) == 0
         assert untouched.read_bytes() == extractor.read_bytes()
 
         head_path = tmp_path / "head.nplda"
         nplda.save_nplda(nplda.init_random(6, 5, 4, seed=9), head_path)
         warm = tmp_path / "warm.e2e"
-        assert run(base + ["-O", "optimizer.epochs=0", "--extractor", str(extractor),
-                           "--init", str(head_path), "--out", str(warm)]) == 0
+        assert run(base + ["--extractor", str(extractor), "--init", str(head_path),
+                           "--out", str(warm)]) == 0
         got, _ = load_params(warm)
         trained, _ = load_params(extractor)
         head, _ = load_params(head_path)
@@ -744,23 +772,25 @@ class TestE2EModelBuilt:
         assert "head expects dim 20, extractor emits 6" in capsys.readouterr().err
         assert not (tmp_path / "m.e2e").exists()
 
-    def test_init_head_brings_its_own_dims(self, feat_workspace, extractor, tmp_path):
+    def test_init_head_brings_its_own_dims(self, feat_workspace, extractor, tmp_path,
+                                           monkeypatch):
         # the [e2e] head dims are 5/4; an --init head of 3/2 replaces the extractor's head
         root, cfg, out = feat_workspace
         head_path = tmp_path / "head.nplda"
         nplda.save_nplda(nplda.init_random(6, 3, 2, seed=9), head_path)
-        assert self._train(cfg, out, tmp_path / "m.e2e", "-O", "optimizer.epochs=0",
+        pass_through(monkeypatch)
+        assert self._train(cfg, out, tmp_path / "m.e2e",
                            "--extractor", str(extractor), "--init", str(head_path)) == 0
         model = e2e.load_e2e(tmp_path / "m.e2e")
         assert (model.config.head_lda_dim, model.config.head_out_dim) == (3, 2)
 
-    def test_init_config_matches_the_checkpoint(self, feat_workspace, tmp_path):
+    def test_init_config_matches_the_checkpoint(self, feat_workspace, tmp_path, monkeypatch):
         # [e2e] says 5/4 and the --init head is 3/2: both files give the checkpoint's 3/2
         root, cfg, out = feat_workspace
         head_path, ck = tmp_path / "head.nplda", tmp_path / "m.e2e"
         nplda.save_nplda(nplda.init_random(6, 3, 2, seed=9), head_path)
-        assert self._train(cfg, out, ck, "-O", "optimizer.epochs=0", "--init",
-                           str(head_path)) == 0
+        pass_through(monkeypatch)
+        assert self._train(cfg, out, ck, "--init", str(head_path)) == 0
         _, meta = load_params(ck)
         resolved = cli.Config(f"{ck}.config.ini")
         for key in ("head_lda_dim", "head_out_dim"):
@@ -1060,3 +1090,74 @@ class TestSampleAndMem:
         code = run(["score", "--model", str(bad), "--trials", "x", "--data", "y",
                     "--out", str(tmp_path / "s")])
         assert code == 1
+
+
+class TestEncoding:
+    """Text files are UTF-8 whatever the locale: the same bytes read the same everywhere."""
+
+    LOCALES = {
+        # the C locale's encoding is ASCII once the interpreter's UTF-8 mode is off
+        "C": {"LC_ALL": "C", "PYTHONUTF8": "0"},
+        "C.UTF-8": {"LC_ALL": "C.UTF-8"},
+    }
+
+    def _chain(self, tmp_path, env):
+        """simulate, score and evaluate under ``env``; their stdout and every file written."""
+        tmp_path.mkdir()
+        cfg = tmp_path / "exp.ini"
+        cfg.write_bytes((SMALL_DEV_CONFIG % 12 + "dataset = données-ü\n").encode("utf-8"))
+        nplda.save_nplda(nplda.init_random(16, 12, 8, seed=2), tmp_path / "m.nplda")
+        out = tmp_path / "out"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        stdout = []
+        for argv in (
+            ["simulate", "--config", cfg, "--out", out],
+            ["score", "--model", tmp_path / "m.nplda", "--trials", out / "dev.trials",
+             "--data", out / "dev.embeddings", "--out", out / "s.scores"],
+            ["evaluate", "--scores", out / "s.scores", "--key", out / "dev.trials"],
+        ):
+            proc = subprocess.run([sys.executable, "-m", "svkit.cli", *map(str, argv)],
+                                  capture_output=True, timeout=30,
+                                  env={**os.environ, "PYTHONPATH": src, **env})
+            assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+            stdout.append(proc.stdout.replace(bytes(tmp_path), b"<dir>"))
+        return stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    def test_non_ascii_ids_read_the_same_under_any_locale(self, tmp_path):
+        runs = {name: self._chain(tmp_path / name, env) for name, env in self.LOCALES.items()}
+        assert runs["C"] == runs["C.UTF-8"]
+        _, files = runs["C"]
+        assert "dev-données-üs" in files["s.scores"].decode("utf-8")
+        trials = data.read_trials(tmp_path / "C" / "out" / "dev.trials")
+        assert {i.split("0")[0] for i in trials.enroll} == {"dev-données-üs"}
+
+
+class TestAllocator:
+    """main raises glibc's malloc thresholds, and runs the same on any other C library."""
+
+    ESTIMATE = ["estimate-mem", "--full-size", "-N", "0", "-T", "2000"]
+
+    def test_glibc_thresholds(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        libc = SimpleNamespace(gnu_get_libc_version=lambda: b"2.99", mallopt=mallopt)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+        assert run(self.ESTIMATE) == 0
+        assert calls == [(-1, 64 << 20), (-3, 32 << 20)]
+
+    def _no_library(name):
+        raise OSError("no C library")
+
+    @pytest.mark.parametrize("libc", [
+        lambda name: SimpleNamespace(),
+        lambda name: SimpleNamespace(gnu_get_libc_version=lambda: b"2.99"),
+        _no_library,
+    ], ids=["not-glibc", "no-mallopt", "no-library"])
+    def test_main_runs_without_mallopt(self, monkeypatch, capsys, libc):
+        monkeypatch.setattr(ctypes, "CDLL", libc)
+        assert run(self.ESTIMATE) == 0
+        assert "(0.0 GB)" in capsys.readouterr().out

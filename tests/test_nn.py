@@ -206,6 +206,13 @@ class TestStackedUtterances:
             for a, want in zip(got, spliced):
                 assert a.shape == want.shape and a.tobytes() == want.tobytes()
 
+    def test_backward_refuses_an_output_of_another_shape(self):
+        rng = rand(35)
+        X, W, b = rng.standard_normal((self.N, 9, 3)), rng.standard_normal((4, 9)), np.zeros(4)
+        Y = nn.tdnn_layer(X, (-1, 0, 1), W, b)
+        with pytest.raises(ShapeError, match=r"Y has shape \(5, 7, 4\), expected \(5, 8, 4\)"):
+            nn.tdnn_layer_backward(Y, X, (-1, 0), W[:, :6], b, Y=Y)
+
     def test_backward_without_input_grad(self):
         rng = rand(33)
         offsets = [-1, 0, 2]

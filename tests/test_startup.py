@@ -3,7 +3,8 @@
 scipy's import takes longer than most commands on small inputs, and
 numpy loads some submodules lazily, at first use.  Each command here runs
 in a fresh interpreter on a tiny simulated corpus, which compares
-``sys.modules`` before and after ``svkit.cli.main``.
+``sys.modules`` before and after ``svkit.cli.main``.  The interpreter warns
+of every text file opened in the locale's encoding, which no command does.
 """
 
 import json
@@ -93,12 +94,13 @@ head_out_dim = 4
 
 def _main_in_fresh_process(args) -> dict:
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    proc = subprocess.run([sys.executable, "-c", CHILD, *map(str, args)], capture_output=True,
-                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    proc = subprocess.run([sys.executable, "-X", "warn_default_encoding", "-c", CHILD,
+                           *map(str, args)], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["code"] == 0, proc.stderr
-    return report
+    return report | {"stderr": proc.stderr}
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +124,9 @@ def runs(tmp_path_factory):
         "score e2e": ["score", "--model", root / "m.e2e", "--trials", root / "feat/dev.trials",
                       "--data", root / "feat/dev.features", "--out", root / "e2e.scores"],
         "evaluate": ["evaluate", "--scores", root / "nplda.scores", "--key", root / "emb/dev.trials"],
+        "sample": ["sample", "--config", emb, "--data", root / "emb/train.embeddings",
+                   "--out", root / "batches.txt"],
+        "estimate-mem": ["estimate-mem", "--config", feat, "-N", "2", "-T", "50"],
     }
     reports = {name: _main_in_fresh_process(args) for name, args in commands.items()}
     return root, reports
@@ -139,6 +144,17 @@ def test_main_imports_neither_scipy_nor_numpy_modules(runs, command):
     _, reports = runs
     loaded = [m for m in reports[command]["new"] if m.split(".")[0] in ("scipy", "numpy")]
     assert loaded == []
+
+
+def test_main_imports_no_locale(runs):
+    _, reports = runs
+    assert {name for name, report in reports.items() if "locale" in report["new"]} == set()
+
+
+def test_no_command_opens_a_file_in_the_locale_encoding(runs):
+    _, reports = runs
+    assert {name: report["stderr"] for name, report in reports.items()
+            if "EncodingWarning" in report["stderr"]} == {}
 
 
 def test_train_gplda_loads_scipy_and_works(runs):
