@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import _float_block, _float_lines, _records, _write_lines
+from .data import _float_block, _float_lines, _reading, _records, _write_lines
 from .errors import ModelError, ParseError, StateError
 
 MAGIC = "svkit-params"
@@ -43,7 +43,7 @@ def save_params(path, params: dict[str, np.ndarray], meta: dict[str, str] | None
 
 
 def load_params(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    with open(path, encoding="utf-8") as fh:
+    with _reading(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0].split() != [MAGIC, VERSION]:
         raise ParseError(path, 1, f"expected header '{MAGIC} {VERSION}'")

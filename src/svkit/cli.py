@@ -17,6 +17,8 @@ import math
 import os
 import sys
 from collections import defaultdict
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 import numpy.random  # numpy loads it lazily: load it here, not at the first draw
@@ -42,92 +44,192 @@ class _Parser(argparse.ArgumentParser):
 # configuration
 # ---------------------------------------------------------------------------
 
-DEFAULTS = {
-    "simulate": {
-        "kind": "embeddings",
-        "n_speakers": "60",
-        "utts_per_speaker": "12",
-        "n_dev_speakers": "40",
-        "dev_utts_per_speaker": "8",
-        "dim": "16",
-        "latent_dim": "3",
-        "phi_scale": "1.0",
-        "noise_scale": "1.0",
-        "dataset": "synth",
-        "feat_dim": "8",
-        "frames": "120",
-        "mean_scale": "3.0",
-        "within_std": "1.0",
-        "n_dev_trials": "4000",
-        "dev_target_ratio": "0.2",
-        "split_genders": "false",
-    },
-    "gplda": {
-        "lda_dim": "170",
-        "latent_dim": "",
-        "em_iters": "20",
-        "average_per_speaker": "false",
-    },
-    "sampler": {
-        "algo": "2",
-        "utts_per_batch": "64",
-        "m_min": "3",
-        "m_max": "8",
-        "n_batches": "40",
-        "n_trials": "8192",
-        "target_ratio": "0.5",
-        "batch_size": "1024",
-    },
-    "loss": {
-        "alpha": "10.0",
-        "c_miss": "1.0",
-        "c_fa": "1.0",
-        "p_target": "0.01",
-        "learn_theta": "true",
-    },
-    "optimizer": {
-        "lr": "1e-4",
-        "epochs": "30",
-        "patience": "3",
-    },
-    "e2e": {
-        "layers": "",
-        "pooling": POOL_STDDEV,
-        "embedding_dim": "16",
-        "head_lda_dim": "12",
-        "head_out_dim": "8",
-        "freeze_prefix": "0",
-    },
-    "data": {},
+class _Type(NamedTuple):
+    """A config value type: ``read`` gives the value of a text, or raises ValueError with
+    what the message says after ``[section] key``; ``name`` and ``expected`` are its type
+    and range as README's key table gives them."""
+
+    name: str
+    expected: str
+    read: Callable[[str], object]
+
+
+def _scalar(name: str, parse, test, expected: str) -> _Type:
+    """One value: ``parse`` makes it from the text, ``test`` bounds it, ``expected`` says how."""
+    def read(text):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise ValueError(f"= {text!r}: expected {name}") from None
+        if not test(value):
+            raise ValueError(f"= {text!r}: expected {expected}")
+        return value
+    return _Type(name, expected, read)
+
+
+def _int(lo=-math.inf, expected: str | None = None) -> _Type:
+    return _scalar("int", int, lambda v: v >= lo, expected or f"at least {lo}")
+
+
+def _choice(parse, *choices) -> _Type:
+    return _scalar("int" if parse is int else "word", parse, lambda v: v in choices,
+                   " or ".join(map(str, choices)))
+
+
+def _floats(entry: _Type) -> _Type:
+    """Whitespace-separated entries of the type ``entry``; an error shows the bad entry."""
+    return _Type("float list", f"each {entry.expected}",
+                 lambda text: [entry.read(part) for part in text.split()])
+
+
+def _layer_lines(text: str) -> tuple:
+    """The TDNN layers of ``[e2e] layers``: one ``k_in k_out offsets...`` line each."""
+    layers = []
+    for fields in filter(None, (line.split() for line in text.splitlines())):
+        try:
+            if len(fields) < 3:
+                raise ArgumentError("needs 'k_in k_out offsets...'")
+            layer = e2e_mod._layer_spec(fields)
+            if layers and layer.in_dim != layers[-1].out_dim:
+                raise ArgumentError(f"k_in {layer.in_dim} is not the k_out {layers[-1].out_dim} "
+                                    "of the line before")
+        except (ArgumentError, ValueError) as exc:
+            raise ValueError(f"line {' '.join(fields)!r}: {exc}") from None
+        layers.append(layer)
+    return tuple(layers)
+
+
+_POSITIVE = _scalar("float", float, lambda v: 0 < v < math.inf, "a finite number > 0")
+_NON_NEGATIVE = _scalar("float", float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
+_RATIO = _scalar("float", float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
+_SWITCH = _scalar("switch", lambda text: configparser.ConfigParser.BOOLEAN_STATES.get(
+    text.strip().lower()), lambda v: v is not None, "1/yes/true/on or 0/no/false/off")
+_PATH = _Type("path", "", str)
+
+# Every config key: (section, key) -> (its default text, None if unset, and its type).  A
+# key whose default is blank may be left blank, which makes its value None.  Rules that tie
+# keys together are in _check_together; README's key table lists the same rows.
+_KEYS = {
+    ("simulate", "kind"): ("embeddings", _choice(str.strip, "embeddings", "features")),
+    ("simulate", "seed"): (None, _int(0)),
+    ("simulate", "n_speakers"): ("60", _int(1)),
+    ("simulate", "utts_per_speaker"): ("12", _int(1)),
+    ("simulate", "n_dev_speakers"): ("40", _int(1)),
+    ("simulate", "dev_utts_per_speaker"): ("8", _int(1)),
+    ("simulate", "dim"): ("16", _int(1)),
+    ("simulate", "latent_dim"): ("3", _int(1, "1 to [simulate] dim")),
+    ("simulate", "phi_scale"): ("1.0", _NON_NEGATIVE),
+    ("simulate", "noise_scale"): ("1.0", _POSITIVE),
+    ("simulate", "phi_scales"): (None, _floats(_NON_NEGATIVE)),
+    ("simulate", "noise_scales"): (None, _floats(_POSITIVE)),
+    ("simulate", "dataset"): ("synth", _scalar("word", str, lambda v: v.split() == [v],
+                                               "one field, no spaces")),
+    ("simulate", "feat_dim"): ("8", _int(1)),
+    ("simulate", "frames"): ("120", _int(1)),
+    ("simulate", "mean_scale"): ("3.0", _NON_NEGATIVE),
+    ("simulate", "within_std"): ("1.0", _POSITIVE),
+    ("simulate", "n_dev_trials"): ("4000", _int(1)),
+    ("simulate", "dev_target_ratio"): ("0.2", _RATIO),
+    ("simulate", "split_genders"): ("false", _SWITCH),
+    ("gplda", "lda_dim"): ("170", _int(expected="at least 1")),
+    ("gplda", "latent_dim"): ("", _int(1, "1 to [gplda] lda_dim")),
+    ("gplda", "em_iters"): ("20", _int(1)),
+    ("gplda", "average_per_speaker"): ("false", _SWITCH),
+    ("sampler", "algo"): ("2", _choice(int, 1, 2)),
+    ("sampler", "utts_per_batch"): ("64", _scalar("int", int, lambda v: v > 0 and v % 2 == 0,
+                                                  "an even number > 0")),
+    ("sampler", "m_min"): ("3", _int(2)),
+    ("sampler", "m_max"): ("8", _int(expected="[sampler] m_min to utts_per_batch / 2")),
+    ("sampler", "n_batches"): ("40", _int(1)),
+    ("sampler", "n_trials"): ("8192", _int(1)),
+    ("sampler", "target_ratio"): ("0.5", _RATIO),
+    ("sampler", "batch_size"): ("1024", _choice(int, 1024, 2048)),
+    ("loss", "alpha"): ("10.0", _POSITIVE),
+    ("loss", "c_miss"): ("1.0", _POSITIVE),
+    ("loss", "c_fa"): ("1.0", _POSITIVE),
+    ("loss", "p_target"): ("0.01", _scalar("float", float, lambda v: 0 < v < 1,
+                                           "a number in (0, 1)")),
+    ("loss", "learn_theta"): ("true", _SWITCH),
+    ("optimizer", "lr"): ("1e-4", _POSITIVE),
+    ("optimizer", "epochs"): ("30", _int(1)),
+    ("optimizer", "patience"): ("3", _int(1)),
+    ("e2e", "layers"): ("", _Type("TDNN layers", "k_in k_out offsets... per line, k_in the "
+                                  "k_out of the line before", _layer_lines)),
+    ("e2e", "pooling"): (POOL_STDDEV, _choice(str.strip, POOL_STDDEV, POOL_VARIANCE)),
+    ("e2e", "embedding_dim"): ("16", _int(1)),
+    ("e2e", "head_lda_dim"): ("12", _int(1, "1 to [e2e] embedding_dim")),
+    ("e2e", "head_out_dim"): ("8", _int(1, "1 to [e2e] head_lda_dim")),
+    ("e2e", "freeze_prefix"): ("0", _int(expected="0 to the number of TDNN layers")),
+    ("data", "train_embeddings"): (None, _PATH),
+    ("data", "dev_embeddings"): (None, _PATH),
+    ("data", "dev_trials"): (None, _PATH),
+    ("data", "train_features"): (None, _PATH),
+    ("data", "dev_features"): (None, _PATH),
 }
 
-# keys read with no default, so a resolved copy lists them only when they are set
-_OPTIONAL_KEYS = {
-    "simulate": ("seed", "phi_scales", "noise_scales"),
-    "data": ("train_embeddings", "dev_embeddings", "dev_trials", "train_features", "dev_features"),
-}
 
-# (section, key) -> (type, test, what the test asks): checked when a config loads
-_RANGES = {
-    ("optimizer", "lr"): (float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0"),
-    ("optimizer", "epochs"): (int, lambda v: v >= 1, "at least 1"),
-    ("optimizer", "patience"): (int, lambda v: v >= 1, "at least 1"),
-}
+def _read(name: str, kind: _Type, text: str):
+    """``text`` as a value of ``kind``, or ConfigError naming ``name``."""
+    try:
+        return kind.read(text)
+    except ValueError as exc:
+        raise ConfigError(f"{name} {exc}") from None
+
+
+def _layers(cfg) -> tuple:
+    """The [e2e] TDNN layers; blank ``layers`` is the five-layer desk stack."""
+    return cfg["e2e", "layers"] or e2e_mod.desk_config(cfg["simulate", "feat_dim"]).layers
+
+
+def _check_together(cfg) -> None:
+    """The rules that tie keys together, each naming its keys."""
+    phi, noise = cfg["simulate", "phi_scales"] or [], cfg["simulate", "noise_scales"] or []
+    if len(phi) != len(noise):
+        raise ConfigError(f"[simulate] phi_scales has {len(phi)} entries and "
+                          f"[simulate] noise_scales {len(noise)}: expected as many")
+    if (latent := cfg["simulate", "latent_dim"]) > (dim := cfg["simulate", "dim"]):
+        raise ConfigError(f"[simulate] latent_dim = {latent}: expected at most "
+                          f"[simulate] dim = {dim}")
+    lda, latent = cfg["gplda", "lda_dim"], cfg["gplda", "latent_dim"]
+    if lda < (latent or 1):
+        raise ConfigError(f"[gplda] lda_dim = {lda}: expected at least "
+                          + (f"[gplda] latent_dim = {latent}" if latent else "1"))
+    m_min, m_max, half = (cfg["sampler", "m_min"], cfg["sampler", "m_max"],
+                          cfg["sampler", "utts_per_batch"] // 2)
+    if not m_min <= m_max <= half:
+        raise ConfigError(f"[sampler] m_max = {m_max}: expected [sampler] m_min = {m_min} to "
+                          f"[sampler] utts_per_batch / 2 = {half}")
+    dims = [(key, cfg["e2e", key]) for key in ("head_out_dim", "head_lda_dim", "embedding_dim")]
+    for (a, x), (b, y) in zip(dims, dims[1:]):
+        if x > y:
+            raise ConfigError(f"[e2e] {a} = {x} exceeds [e2e] {b} = {y}: need head_out_dim <= "
+                              "head_lda_dim <= embedding_dim, got "
+                              + ", ".join(str(v) for _, v in dims))
+    frozen, n = cfg["e2e", "freeze_prefix"], len(_layers(cfg))
+    if not 0 <= frozen <= n:
+        raise ConfigError(f"[e2e] freeze_prefix = {frozen}: expected 0 to {n}, the number of "
+                          "TDNN layers")
 
 
 class Config:
-    """INI-backed experiment configuration with CLI overrides."""
+    """INI-backed experiment configuration with CLI overrides, every value checked at load.
+
+    ``cfg[section, key]`` is a value of its ``_KEYS`` type, or None if it is unset.
+    """
 
     def __init__(self, path: str | None, overrides: list[str] | None = None):
         # values are literal: a '%' is text, not interpolation syntax
         self.parser = configparser.ConfigParser(interpolation=None)
-        for section, values in DEFAULTS.items():
-            self.parser[section] = dict(values)
+        for (section, key), (default, _) in _KEYS.items():
+            self.parser.setdefault(section, {})
+            if default is not None:
+                self.parser[section][key] = default
         if path is not None:
             if not os.path.exists(path):
                 raise ConfigError(f"config file not found: {path}")
             try:
-                self.parser.read(path, encoding="utf-8")
+                with dm._reading(path) as fh:
+                    self.parser.read_file(fh, path)
             except configparser.Error as exc:
                 # ParsingError lists every bad line; the other read errors name their one
                 line = getattr(exc, "lineno", None) or exc.errors[0][0]
@@ -138,52 +240,28 @@ class Config:
                 raise ConfigError(f"override must look like section.key=value: {item!r}")
             key, value = item.split("=", 1)
             section, name = key.split(".", 1)
-            if section not in self.parser:
-                self.parser[section] = {}
+            self.parser.setdefault(section, {})
             self.parser[section][name] = value
+        self._values = dict.fromkeys(_KEYS)
         for section in self.parser.sections():
-            known = set(DEFAULTS.get(section, ())) | set(_OPTIONAL_KEYS.get(section, ()))
-            for name in self.parser[section]:
-                if name not in known:
-                    raise ConfigError(f"unknown config key [{section}] {name}")
-        for (section, key), (kind, test, expected) in _RANGES.items():
-            if not test(self._parse(kind, section, key)):
-                raise ConfigError(f"[{section}] {key} = {self.get(section, key)!r}: "
-                                  f"expected {expected}")
+            for key, text in self.parser[section].items():
+                if (section, key) not in _KEYS:
+                    raise ConfigError(f"unknown config key [{section}] {key}")
+                default, kind = _KEYS[section, key]
+                if text.strip() or default != "":
+                    self._values[section, key] = _read(f"[{section}] {key}", kind, text)
+        _check_together(self)
 
-    def get(self, section: str, key: str, default: str | None = None) -> str:
-        try:
-            return self.parser[section][key]
-        except KeyError:
-            if default is not None:
-                return default
-            raise ConfigError(f"missing config value [{section}] {key}") from None
+    def __getitem__(self, section_key: tuple[str, str]):
+        return self._values[section_key]
 
-    def getint(self, section, key):
-        return self._parse(int, section, key)
-
-    def getfloat(self, section, key):
-        return self._parse(float, section, key)
-
-    def _parse(self, kind, section, key, value=None):
-        """``value`` (by default the configured one) of ``[section] key`` as ``kind``."""
-        value = self.get(section, key) if value is None else value
-        try:
-            return kind(value)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key} = {value!r}: expected {kind.__name__}") from None
-
-    def getbool(self, section, key):
-        value = self.get(section, key)
-        if value.strip().lower() not in self.parser.BOOLEAN_STATES:
-            raise ConfigError(f"[{section}] {key} = {value!r}: expected 1/yes/true/on or "
-                              "0/no/false/off")
-        return self.parser.BOOLEAN_STATES[value.strip().lower()]
+    def get(self, section: str, key: str) -> str:
+        """The text of ``[section] key``, as the resolved copy gives it."""
+        return self.parser[section][key]
 
     def set(self, section, key, value):
-        if section not in self.parser:
-            self.parser[section] = {}
         self.parser[section][key] = str(value)
+        self._values[section, key] = value
 
     def write_resolved(self, output_path: str) -> None:
         """Write the resolved configuration to ``<output_path>.config.ini``."""
@@ -193,45 +271,18 @@ class Config:
 
 
 def _dcf_weights(cfg: Config) -> metrics_mod.DcfWeights:
-    return metrics_mod.DcfWeights(
-        c_miss=cfg.getfloat("loss", "c_miss"),
-        c_fa=cfg.getfloat("loss", "c_fa"),
-        p_target=cfg.getfloat("loss", "p_target"),
-    )
+    return metrics_mod.DcfWeights(*(cfg["loss", key] for key in ("c_miss", "c_fa", "p_target")))
 
 
 def _loss_config(cfg: Config) -> nplda_mod.LossConfig:
-    return nplda_mod.LossConfig(
-        alpha=cfg.getfloat("loss", "alpha"),
-        weights=_dcf_weights(cfg),
-        learn_theta=cfg.getbool("loss", "learn_theta"),
-    )
+    return nplda_mod.LossConfig(alpha=cfg["loss", "alpha"], weights=_dcf_weights(cfg),
+                                learn_theta=cfg["loss", "learn_theta"])
 
 
 def _e2e_config(cfg: Config) -> e2e_mod.E2EConfig:
-    """The [e2e] model shape; a blank ``layers`` is the default five-layer stack."""
-    text = cfg.get("e2e", "layers").strip()
-    layers = e2e_mod.desk_config(cfg.getint("simulate", "feat_dim")).layers
-    if text:
-        layers = []
-        for _, fields in dm._records(enumerate(text.splitlines())):
-            if len(fields) < 3:
-                raise ConfigError(f"[e2e] layers line needs 'k_in k_out offsets...': "
-                                  f"{' '.join(fields)!r}")
-            try:
-                layers.append(e2e_mod._layer_spec(fields))
-            except (ArgumentError, ValueError) as exc:
-                raise ConfigError(f"[e2e] layers line {' '.join(fields)!r}: {exc}") from None
-    try:
-        return e2e_mod.E2EConfig(
-            layers=tuple(layers),
-            pooling=cfg.get("e2e", "pooling"),
-            embedding_dim=cfg.getint("e2e", "embedding_dim"),
-            head_lda_dim=cfg.getint("e2e", "head_lda_dim"),
-            head_out_dim=cfg.getint("e2e", "head_out_dim"),
-        )
-    except ArgumentError as exc:
-        raise ConfigError(f"[e2e] {exc}") from None
+    """The [e2e] model shape."""
+    return e2e_mod.E2EConfig(_layers(cfg), *(cfg["e2e", key] for key in (
+        "pooling", "embedding_dim", "head_lda_dim", "head_out_dim")))
 
 
 # ---------------------------------------------------------------------------
@@ -247,24 +298,14 @@ def _simulate_embeddings(cfg: Config, seed: int):
     female populations.  Pooling heterogeneous tiers is the desk-scale
     analogue of multi-corpus backend training.
     """
-    dim = cfg.getint("simulate", "dim")
-    latent = cfg.getint("simulate", "latent_dim")
+    dim, latent = cfg["simulate", "dim"], cfg["simulate", "latent_dim"]
     rng = np.random.default_rng(seed)
-    phi_list = cfg.get("simulate", "phi_scales", default="").split()
-    if phi_list:
-        noise_list = cfg.get("simulate", "noise_scales", default="").split()
-        if len(noise_list) != len(phi_list):
-            raise ConfigError("[simulate] phi_scales and noise_scales must have equal length")
-        tiers = [(cfg._parse(float, "simulate", "phi_scales", p),
-                  cfg._parse(float, "simulate", "noise_scales", n))
-                 for p, n in zip(phi_list, noise_list)]
-    else:
-        tiers = [(cfg.getfloat("simulate", "phi_scale"),
-                  cfg.getfloat("simulate", "noise_scale"))]
-    split = cfg.getbool("simulate", "split_genders")
+    tiers = (list(zip(cfg["simulate", "phi_scales"] or (), cfg["simulate", "noise_scales"] or ()))
+             or [(cfg["simulate", "phi_scale"], cfg["simulate", "noise_scale"])])
+    split = cfg["simulate", "split_genders"]
     populations = []
     for di, (phi_scale, noise_scale) in enumerate(tiers):
-        dataset = cfg.get("simulate", "dataset") if len(tiers) == 1 else f"dom{di}"
+        dataset = cfg["simulate", "dataset"] if len(tiers) == 1 else f"dom{di}"
         genders = ("M", "F") if split else ("alternate",)
         for g in genders:
             phi = phi_scale * rng.standard_normal((dim, latent))
@@ -283,65 +324,46 @@ def _simulate_embeddings(cfg: Config, seed: int):
             )
         return dm.UtteranceSet(parts)
 
-    train = gen(cfg.getint("simulate", "n_speakers"),
-                cfg.getint("simulate", "utts_per_speaker"), seed + 1, "")
-    dev = gen(cfg.getint("simulate", "n_dev_speakers"),
-              cfg.getint("simulate", "dev_utts_per_speaker"), seed + 1001, "dev-")
+    train = gen(cfg["simulate", "n_speakers"], cfg["simulate", "utts_per_speaker"], seed + 1, "")
+    dev = gen(cfg["simulate", "n_dev_speakers"], cfg["simulate", "dev_utts_per_speaker"],
+              seed + 1001, "dev-")
     return train, dev, {"dim": dim, "latent_dim": latent, "populations": len(populations)}
 
 
 def _simulate_features(cfg: Config, seed: int):
-    feat_dim = cfg.getint("simulate", "feat_dim")
-    mean_scale = cfg.getfloat("simulate", "mean_scale")
+    feat_dim, mean_scale = cfg["simulate", "feat_dim"], cfg["simulate", "mean_scale"]
     rng = np.random.default_rng(seed)
-    n_spk = cfg.getint("simulate", "n_speakers")
-    n_dev = cfg.getint("simulate", "n_dev_speakers")
-    means = {
-        f"fspk{i:04d}": mean_scale * rng.standard_normal(feat_dim)
-        for i in range(n_spk)
-    }
-    dev_means = {
-        f"dev-fspk{i:04d}": mean_scale * rng.standard_normal(feat_dim)
-        for i in range(n_dev)
-    }
-    common = dict(
-        within_std=cfg.getfloat("simulate", "within_std"),
-        T=cfg.getint("simulate", "frames"),
-        dataset_id=cfg.get("simulate", "dataset"),
-    )
-    train = dm.synth_features(
-        means, seed=seed + 1,
-        utts_per_speaker=cfg.getint("simulate", "utts_per_speaker"), **common
-    )
-    dev = dm.synth_features(
-        dev_means, seed=seed + 2,
-        utts_per_speaker=cfg.getint("simulate", "dev_utts_per_speaker"), **common
-    )
+    n_spk, n_dev = cfg["simulate", "n_speakers"], cfg["simulate", "n_dev_speakers"]
+    means = {f"fspk{i:04d}": mean_scale * rng.standard_normal(feat_dim) for i in range(n_spk)}
+    dev_means = {f"dev-fspk{i:04d}": mean_scale * rng.standard_normal(feat_dim)
+                 for i in range(n_dev)}
+    common = dict(within_std=cfg["simulate", "within_std"], T=cfg["simulate", "frames"],
+                  dataset_id=cfg["simulate", "dataset"])
+    train = dm.synth_features(means, seed=seed + 1,
+                              utts_per_speaker=cfg["simulate", "utts_per_speaker"], **common)
+    dev = dm.synth_features(dev_means, seed=seed + 2,
+                            utts_per_speaker=cfg["simulate", "dev_utts_per_speaker"], **common)
     return train, dev, {"feat_dim": feat_dim, "mean_scale": mean_scale}
 
 
 def cmd_simulate(args) -> int:
     cfg = Config(args.config, args.override)
-    seed = args.seed if args.seed is not None else cfg.getint("simulate", "seed")
+    seed = args.seed if args.seed is not None else cfg["simulate", "seed"]
+    if seed is None:
+        raise ConfigError("missing config value [simulate] seed")
     cfg.set("simulate", "seed", seed)
-    kind = cfg.get("simulate", "kind")
+    kind = cfg["simulate", "kind"]
     os.makedirs(args.out, exist_ok=True)
     if kind == "embeddings":
         train, dev, info = _simulate_embeddings(cfg, seed)
         dm.write_embeddings(train, os.path.join(args.out, "train.embeddings"))
         dm.write_embeddings(dev, os.path.join(args.out, "dev.embeddings"))
-    elif kind == "features":
+    else:
         train, dev, info = _simulate_features(cfg, seed)
         dm.write_features(train, os.path.join(args.out, "train.features"))
         dm.write_features(dev, os.path.join(args.out, "dev.features"))
-    else:
-        raise ConfigError(f"[simulate] kind must be embeddings or features, got {kind!r}")
-    trials = dm.make_trials(
-        dev,
-        cfg.getint("simulate", "n_dev_trials"),
-        cfg.getfloat("simulate", "dev_target_ratio"),
-        seed + 3,
-    )
+    trials = dm.make_trials(dev, cfg["simulate", "n_dev_trials"],
+                            cfg["simulate", "dev_target_ratio"], seed + 3)
     dm.write_trials(trials, os.path.join(args.out, "dev.trials"))
     cfg.write_resolved(os.path.join(args.out, "simulate"))
     print(f"simulate kind={kind} seed={seed} " +
@@ -374,25 +396,13 @@ def _report_row(model: str, pooling: str, init: str, scored: dm.ScoredTrialSet,
 
 
 def _sample_batches(cfg: Config, utts, seed: int) -> list[sampling.TrialBatch]:
-    algo = cfg.getint("sampler", "algo")
-    if algo == 2:
+    if cfg["sampler", "algo"] == 2:
         sampler_cfg = sampling.SamplerConfig(
-            utts_per_batch=cfg.getint("sampler", "utts_per_batch"),
-            m_min=cfg.getint("sampler", "m_min"),
-            m_max=cfg.getint("sampler", "m_max"),
-            seed=seed,
-        )
-        return sampling.sample_epoch_algo2(utts, sampler_cfg,
-                                           cfg.getint("sampler", "n_batches"))
-    if algo == 1:
-        return sampling.sample_trials_algo1(
-            utts,
-            n_trials=cfg.getint("sampler", "n_trials"),
-            target_ratio=cfg.getfloat("sampler", "target_ratio"),
-            batch_size=cfg.getint("sampler", "batch_size"),
-            seed=seed,
-        )
-    raise ConfigError(f"[sampler] algo must be 1 or 2, got {algo}")
+            *(cfg["sampler", key] for key in ("utts_per_batch", "m_min", "m_max")), seed=seed)
+        return sampling.sample_epoch_algo2(utts, sampler_cfg, cfg["sampler", "n_batches"])
+    return sampling.sample_trials_algo1(
+        utts, *(cfg["sampler", key] for key in ("n_trials", "target_ratio", "batch_size")),
+        seed=seed)
 
 
 def _e2e_model(cfg: Config, args, seed: int) -> e2e_mod.E2EModel:
@@ -447,9 +457,10 @@ def cmd_train(args) -> int:
     seed = args.seed if args.seed is not None else 0
     weights = _dcf_weights(cfg)
     files, read, _, save, score = _KINDS[args.kind]
-    train_path = cfg.get("data", f"train_{files}")
-    dev_path = cfg.get("data", f"dev_{files}", default="")
-    trials_path = cfg.get("data", "dev_trials", default="")
+    train_path, dev_path, trials_path = (cfg["data", key] for key in (
+        f"train_{files}", f"dev_{files}", "dev_trials"))
+    if train_path is None:
+        raise ConfigError(f"missing config value [data] train_{files}")
     train_set = read(train_path)
     if not len(train_set):
         raise ArgumentError(f"{train_path}: holds no utterances")
@@ -462,19 +473,15 @@ def cmd_train(args) -> int:
     inputs = [(train_path, train_set)] + ([(dev_path, dev.utterances)] if dev is not None else [])
 
     if args.kind == "gplda":
-        if (lda_dim := cfg.getint("gplda", "lda_dim")) < 1:
-            raise ConfigError(f"[gplda] lda_dim = {lda_dim}: expected at least 1")
         _check_inputs(inputs, train_set.dim)
         if len(set(train_set.speaker_labels())) == len(train_set):
             raise ArgumentError(f"{train_path}: no speaker has two utterances, so the "
                                 "within-speaker covariance cannot be estimated")
-        latent = cfg.get("gplda", "latent_dim").strip()
-        chain = gplda_mod.fit_preprocess(train_set, target_dim=lda_dim)
+        chain = gplda_mod.fit_preprocess(train_set, target_dim=cfg["gplda", "lda_dim"])
         best = gplda_mod.em_fit(
             (chain.apply(train_set.embedding_matrix()), train_set.speaker_labels()),
-            latent_dim=cfg.getint("gplda", "latent_dim") if latent else None,
-            n_iters=cfg.getint("gplda", "em_iters"), chain=chain,
-            average_per_speaker=cfg.getbool("gplda", "average_per_speaker"))
+            latent_dim=cfg["gplda", "latent_dim"], n_iters=cfg["gplda", "em_iters"],
+            chain=chain, average_per_speaker=cfg["gplda", "average_per_speaker"])
         row = ("gplda", "-", "-")
     else:
         if args.kind == "nplda":
@@ -488,21 +495,16 @@ def cmd_train(args) -> int:
         else:
             model = _e2e_model(cfg, args, seed)
             _check_inputs(inputs, model.in_dim, model.config.min_frames)
-            frozen, n_layers = cfg.getint("e2e", "freeze_prefix"), len(model.config.layers)
-            if not 0 <= frozen <= n_layers:
-                raise ConfigError(f"[e2e] freeze_prefix = {frozen}: expected 0 to {n_layers}, "
-                                  "the number of TDNN layers")
             # an --init head brings its own dims: the resolved config gives the checkpoint's
             cfg.set("e2e", "head_lda_dim", model.config.head_lda_dim)
             cfg.set("e2e", "head_out_dim", model.config.head_out_dim)
-            train, extra = e2e_mod.train_e2e, {"freeze_prefix": frozen}
+            train, extra = e2e_mod.train_e2e, {"freeze_prefix": cfg["e2e", "freeze_prefix"]}
             row = ("e2e", model.config.pooling,
                    os.path.basename(args.extractor or args.init or "random"))
         # both discriminative trainers take the dev batch positionally
         best, trace = train(model, _sample_batches(cfg, train_set, seed), _loss_config(cfg),
-                            cfg.getint("optimizer", "epochs"), seed, dev,
-                            lr=cfg.getfloat("optimizer", "lr"),
-                            patience=cfg.getint("optimizer", "patience"), **extra)
+                            cfg["optimizer", "epochs"], seed, dev, lr=cfg["optimizer", "lr"],
+                            patience=cfg["optimizer", "patience"], **extra)
     save(best, args.out)
     cfg.write_resolved(args.out)
     if args.trace:
@@ -559,6 +561,13 @@ def _refuse_repeats(path, trials: dm.TrialList, codes: np.ndarray, order: np.nda
 
 
 def cmd_evaluate(args) -> int:
+    def flag(key, text, name=None):
+        return _read(name or "--" + key.replace("_", "-"), _KEYS["loss", key][1], text)
+
+    c_miss, c_fa = flag("c_miss", args.c_miss), flag("c_fa", args.c_fa)
+    all_w = [metrics_mod.DcfWeights(c_miss, c_fa, p) for p in [
+        flag("p_target", args.p_target),
+        *(flag("p_target", p, "--extra-p-target") for p in args.extra_p_target)]]
     key = _read_key(args.key, both_classes=False)
     row: defaultdict[str, int] = defaultdict()
     row.default_factory = row.__len__
@@ -580,17 +589,13 @@ def cmd_evaluate(args) -> int:
     _refuse_repeats(args.scores, scored.trials, codes, np.argsort(codes, kind="stable"))
     scored = dm.ScoredTrialSet(dm.TrialList(scored.trials.enroll, scored.trials.test,
                                             key_labels[key_order[at]]), scored.scores)
-    all_w = [metrics_mod.DcfWeights(args.c_miss, args.c_fa, p)
-             for p in [args.p_target, *args.extra_p_target]]
     weights = all_w[0]
     report = metrics_mod.evaluate(scored, weights, all_w[1:])
     print(f"eer_percent {100.0 * report.eer:.4f}")
     print(f"min_dcf {report.min_dcf:.6f}")
     print(f"threshold {report.threshold:.6f}")
-    print(
-        f"weights c_miss={weights.c_miss} c_fa={weights.c_fa} "
-        f"p_target={weights.p_target} beta={weights.beta:.4f}"
-    )
+    print(f"weights c_miss={weights.c_miss} c_fa={weights.c_fa} "
+          f"p_target={weights.p_target} beta={weights.beta:.4f}")
     if args.extra_p_target:
         print(f"min_dcf_avg {report.min_dcf_avg:.6f}")
     dm._write_lines(args.csv or (args.scores + ".metrics.csv"), [
@@ -675,13 +680,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="EER / minDCF of a score file")
     p.add_argument("--scores", required=True)
     p.add_argument("--key", required=True, help="labelled trial file")
-    p.add_argument("--p-target", type=float, default=0.01, dest="p_target")
-    p.add_argument("--c-miss", type=float, default=1.0, dest="c_miss")
-    p.add_argument("--c-fa", type=float, default=1.0, dest="c_fa")
-    p.add_argument(
-        "--extra-p-target", type=float, action="append", default=[],
-        dest="extra_p_target", help="additional operating points to average",
-    )
+    # each takes what its [loss] key takes, and defaults to it
+    for key in ("p_target", "c_miss", "c_fa"):
+        p.add_argument("--" + key.replace("_", "-"), default=_KEYS["loss", key][0], dest=key)
+    p.add_argument("--extra-p-target", action="append", default=[], dest="extra_p_target",
+                   help="additional operating points to average")
     p.add_argument("--csv", help="metrics CSV path")
     p.set_defaults(func=cmd_evaluate)
 
@@ -729,10 +732,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SvkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (SvkitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - internal failure path

@@ -302,6 +302,24 @@ def _write_lines(path, lines) -> None:
         raise
 
 
+@contextlib.contextmanager
+def _reading(path):
+    """``path`` opened as UTF-8 text; bytes that are not UTF-8 raise ParseError at their line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        # a newline byte is never part of a multi-byte character, so lines decode alone
+        with open(path, "rb") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as bad:
+                    raise ParseError(path, line_no, f"byte 0x{line[bad.start]:02x} at column "
+                                     f"{bad.start + 1} is not UTF-8") from None
+        raise
+
+
 def _records(numbered):
     """(line_no, fields) of each non-blank line of ``enumerate(file, start=1)``."""
     for line_no, text in numbered:
@@ -353,7 +371,7 @@ def write_embeddings(utterances, path) -> None:
 def read_embeddings(path) -> UtteranceSet:
     utts = []
     dim = None
-    with open(path, encoding="utf-8") as fh:
+    with _reading(path) as fh:
         for line_no, parts in _records(enumerate(fh, start=1)):
             if len(parts) < 5:
                 raise ParseError(path, line_no, f"expected at least 5 fields, got {len(parts)}")
@@ -386,7 +404,7 @@ def write_features(utterances, path) -> None:
 def read_features(path) -> UtteranceSet:
     utts = []
     dim = None
-    with open(path, encoding="utf-8") as fh:
+    with _reading(path) as fh:
         numbered = enumerate(fh, start=1)
         for line_no, parts in _records(numbered):
             if len(parts) != 6:
@@ -423,7 +441,7 @@ def _table(path, comment: str | None = None):
     as iterating the file numbers them.  With ``comment``, a record whose
     first field starts with that character is dropped.
     """
-    with open(path, encoding="utf-8") as fh:
+    with _reading(path) as fh:
         text = fh.read()
     # the numpy pass frees its arrays before the fields are made
     first, count, line = _record_layout(text, comment)

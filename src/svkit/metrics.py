@@ -33,8 +33,8 @@ class DcfWeights:
     p_target: float = 0.01
 
     def __post_init__(self):
-        if self.c_miss <= 0 or self.c_fa <= 0:
-            raise ArgumentError("costs must be positive")
+        if not (0 < self.c_miss < np.inf and 0 < self.c_fa < np.inf):
+            raise ArgumentError("costs must be finite and positive")
         if not 0.0 < self.p_target < 1.0:
             raise ArgumentError("p_target must lie in (0, 1)")
 

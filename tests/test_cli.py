@@ -11,6 +11,7 @@ import pytest
 
 from svkit import cli, data, e2e, gplda, metrics, nplda
 from svkit.checkpoint import load_params, save_params
+from svkit.errors import ParseError
 
 
 def run(args):
@@ -227,6 +228,17 @@ class TestConfig:
         assert run(["train", "nplda", "--config", cfg, *paths, "--init", str(tmp_path / "m.gplda"),
                     "--out", str(tmp_path / "m.nplda")]) == 0
 
+    def test_readme_key_table_is_the_code_table(self):
+        readme = (Path(cli.__file__).parents[2] / "README.md").read_text()
+        table = readme.split("| Section | Key | Type | Default | Range |\n|---|---|---|---|---|\n")[1]
+        rows = [tuple(cell.strip() for cell in line.strip("|").split("|"))
+                for line in table.split("\n\n")[0].splitlines()]
+        assert rows == [
+            (f"`[{section}]`", f"`{key}`", kind.name,
+             "unset" if default is None else f"`{default}`" if default else "blank",
+             kind.expected or "any")
+            for (section, key), (default, kind) in cli._KEYS.items()]
+
 
 class TestLoadTimeErrors:
     @pytest.mark.parametrize("files, argv, named", [
@@ -273,7 +285,7 @@ class TestLoadTimeErrors:
                                              ("false", False), ("OFF", False)])
     def test_boolean_words(self, word, value):
         cfg = cli.Config(None, [f"loss.learn_theta={word}"])
-        assert cfg.getbool("loss", "learn_theta") is value
+        assert cfg["loss", "learn_theta"] is value
 
     def test_misspelt_learn_theta_is_refused(self, trained_gplda, emb_workspace, tmp_path,
                                              capsys):
@@ -286,6 +298,64 @@ class TestLoadTimeErrors:
         assert code == 1
         assert "[loss] learn_theta = 'ture'" in capsys.readouterr().err
         assert not (tmp_path / "model.nplda").exists()
+
+    @pytest.mark.parametrize("section, key, value, extra", [
+        ("simulate", "n_speakers", "0", ()),
+        ("simulate", "dev_target_ratio", "-0.5", ()),
+        ("simulate", "dev_target_ratio", "nan", ()),
+        ("simulate", "dim", "0", ()),
+        ("simulate", "phi_scale", "nan", ()),
+        ("simulate", "n_dev_trials", "-3", ()),
+        ("gplda", "em_iters", "0", ()),
+        ("gplda", "em_iters", "-1", ()),
+        ("sampler", "m_min", "0", ()),
+        ("sampler", "utts_per_batch", "0", ()),
+        ("sampler", "n_batches", "0", ()),
+        ("sampler", "n_trials", "-5", ("sampler.algo=1",)),
+        ("loss", "alpha", "-1", ()),
+        ("loss", "p_target", "0", ()),
+        ("loss", "p_target", "1.5", ()),
+        ("loss", "c_miss", "-1", ()),
+        ("e2e", "head_out_dim", "0", ()),
+    ])
+    def test_probe_value_is_refused_before_any_write(self, emb_workspace, feat_workspace,
+                                                     trained_gplda, tmp_path, capsys, section,
+                                                     key, value, extra):
+        (_, emb_cfg, emb), (_, feat_cfg, feat) = emb_workspace, feat_workspace
+        out = tmp_path / "out"
+        out.mkdir()
+        emb_data = ["-O", f"data.train_embeddings={emb}/train.embeddings"]
+        argv = {
+            "simulate": ["simulate", "--config", emb_cfg, "--out", str(out / "sim")],
+            "gplda": ["train", "gplda", "--config", emb_cfg, *emb_data,
+                      "--out", str(out / "m.gplda")],
+            "sampler": ["sample", "--config", emb_cfg, "--data", str(emb / "train.embeddings"),
+                        "--out", str(out / "b.txt")],
+            "loss": ["train", "nplda", "--config", emb_cfg, *emb_data,
+                     "--init", str(trained_gplda), "--out", str(out / "m.nplda")],
+            "e2e": ["train", "e2e", "--config", feat_cfg,
+                    "-O", f"data.train_features={feat}/train.features",
+                    "--out", str(out / "m.e2e")],
+        }[section]
+        overrides = [arg for o in (*extra, f"{section}.{key}={value}") for arg in ("-O", o)]
+        assert run(argv + overrides) == 1
+        assert f"[{section}] {key} = '{value}': expected" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("flag, value, expected", [
+        ("--c-fa", "inf", "a finite number > 0"),
+        ("--c-miss", "-1", "a finite number > 0"),
+        ("--c-miss", "x", "float"),
+        ("--p-target", "0", "a number in (0, 1)"),
+        ("--extra-p-target", "1.5", "a number in (0, 1)"),
+    ])
+    def test_evaluate_flag_is_refused_naming_it(self, tmp_path, capsys, flag, value, expected):
+        (tmp_path / "s.scores").write_text("a b 1.0\nc d 0.5\n")
+        (tmp_path / "key.trials").write_text("a b target\nc d nontarget\n")
+        assert run(["evaluate", "--scores", str(tmp_path / "s.scores"),
+                    "--key", str(tmp_path / "key.trials"), flag, value]) == 1
+        assert f"{flag} = '{value}': expected {expected}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["key.trials", "s.scores"]
 
     @pytest.mark.parametrize("key, value, expected", [
         ("lr", "-1", "a finite number > 0"),
@@ -636,9 +706,9 @@ class TestE2ECli:
             assert code == 0
             model = e2e.load_e2e(ck)
             assert model.config.pooling == pooling
-            resolved = (str(ck) + ".config.ini")
-            assert os.path.exists(resolved)
-            assert f"pooling = {pooling}" in open(resolved).read()
+            resolved = Path(str(ck) + ".config.ini")
+            assert resolved.exists()
+            assert f"pooling = {pooling}" in resolved.read_text()
 
     def test_e2e_score_command(self, feat_workspace, tmp_path):
         root, cfg, out = feat_workspace
@@ -1122,6 +1192,28 @@ class TestEncoding:
             assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
             stdout.append(proc.stdout.replace(bytes(tmp_path), b"<dir>"))
         return stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    @pytest.mark.parametrize("text, line, column, read", [
+        ("u1 s1 M d 1.0 2.0\nu\xe9 s1 M d 1.0 2.0\n", 2, 2, data.read_embeddings),
+        ("u1 s1 M d 1 2\n1.0 2.0\nu2 s1 F d\xe9 1 2\n1.0 2.0\n", 3, 10, data.read_features),
+        ("a b target\n\na\xe9 b nontarget\n", 3, 2, data.read_trials),
+        ("a b 1.0\nc d 0.5\xe9\n", 2, 8, data.read_scores),
+        ("svkit-params v1\nmeta kind caf\xe9\nend\n", 2, 14, load_params),
+        ("[simulate]\ndataset = caf\xe9\n", 2, 14, cli.Config),
+    ], ids=["embeddings", "features", "trials", "scores", "checkpoint", "config"])
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, text, line, column, read):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ParseError) as exc:
+            read(str(path))
+        assert str(exc.value) == f"{path}:{line}: byte 0xe9 at column {column} is not UTF-8"
+
+    def test_non_utf8_config_fails_the_command(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.ini"
+        cfg.write_bytes((SMALL_DEV_CONFIG % 12 + "dataset = caf\xe9\n").encode("latin-1"))
+        assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert f"{cfg}:10: byte 0xe9 at column 14 is not UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_non_ascii_ids_read_the_same_under_any_locale(self, tmp_path):
         runs = {name: self._chain(tmp_path / name, env) for name, env in self.LOCALES.items()}

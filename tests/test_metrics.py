@@ -75,6 +75,11 @@ class TestBeta:
         with pytest.raises(ArgumentError):
             metrics.DcfWeights(1, 1, 1.0).beta
 
+    @pytest.mark.parametrize("c_miss, c_fa", [(np.inf, 1), (1, np.inf), (np.nan, 1), (1, np.nan)])
+    def test_costs_must_be_finite(self, c_miss, c_fa):
+        with pytest.raises(ArgumentError, match="costs must be finite and positive"):
+            metrics.DcfWeights(c_miss, c_fa, 0.01)
+
 
 class TestDcf:
     def test_accept_all(self):
