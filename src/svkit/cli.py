@@ -474,9 +474,14 @@ def cmd_train(args) -> int:
 
     if args.kind == "gplda":
         _check_inputs(inputs, train_set.dim)
-        if len(set(train_set.speaker_labels())) == len(train_set):
+        n_speakers = len(set(train_set.speaker_labels()))
+        if n_speakers == len(train_set):
             raise ArgumentError(f"{train_path}: no speaker has two utterances, so the "
                                 "within-speaker covariance cannot be estimated")
+        # LDA finds at most dim and n_speakers - 1 directions: the resolved config gives the
+        # dim fitted
+        cfg.set("gplda", "lda_dim", min(cfg["gplda", "lda_dim"], train_set.dim,
+                                        max(n_speakers - 1, 1)))
         chain = gplda_mod.fit_preprocess(train_set, target_dim=cfg["gplda", "lda_dim"])
         best = gplda_mod.em_fit(
             (chain.apply(train_set.embedding_matrix()), train_set.speaker_labels()),
@@ -646,7 +651,9 @@ def build_parser() -> _Parser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="INI experiment configuration")
-    common.add_argument("--seed", type=int, default=None)
+    # read as [simulate] seed is, so that a bad one fails naming the flag before any command runs
+    common.add_argument("--seed", help="a non-negative integer",
+                        type=lambda text: _read("--seed", _KEYS["simulate", "seed"][1], text))
     common.add_argument(
         "--override", "-O", action="append", default=[],
         metavar="SECTION.KEY=VALUE", help="override a config value",
@@ -729,8 +736,8 @@ def _keep_freed_memory() -> None:
 def main(argv: list[str] | None = None) -> int:
     _keep_freed_memory()
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except (SvkitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

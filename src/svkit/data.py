@@ -1,4 +1,4 @@
-"""Domain types, file formats, utterance chunking, and synthetic generators.
+"""Domain types, file formats and synthetic generators.
 
 File formats are text based and line oriented:
 
@@ -243,23 +243,13 @@ class UtteranceSet:
         return [u.speaker_id for u in self.utterances]
 
 
-def pair_index(trials, lookup) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Sorted unique ids the trials reference and each trial's two rows in them.
-
-    ``trials`` is a TrialList or any sequence of Trials.  ``lookup`` is any
-    container of utterance ids (an UtteranceSet or a dict keyed by id).
-    Every referenced id missing from it is reported, sorted, by one
-    MissingIdError.
-    """
-    trials = TrialList.of(trials)
-    return _index_sides(trials.enroll, trials.test, lookup)
-
-
-def _index_sides(enroll_ids: list[str], test_ids: list[str], lookup):
+def pair_index(enroll_ids: list[str], test_ids: list[str], lookup):
     """Sorted unique ids of two id lists and the row of each of their entries among them.
 
-    ``pair_index`` passes one entry per trial and side; a cross-product batch
-    passes its enroll and its test utterances once each.
+    A trial list passes its two columns, one entry per trial and side; a cross
+    product passes its enroll and its test utterances once each.  ``lookup`` is
+    any container of utterance ids (an UtteranceSet or a dict keyed by id).
+    Every id missing from it is reported, sorted, by one MissingIdError.
     """
     ids = sorted(set(enroll_ids).union(test_ids))
     missing = [u for u in ids if u not in lookup]
@@ -368,14 +358,24 @@ def write_embeddings(utterances, path) -> None:
     ))
 
 
+def _add_utterance(path, line_no: int, utts: dict, fields: list[str], payload) -> None:
+    """Put the utterance of a record's four id fields and its payload in ``utts``, keyed by
+    id; a bad field or an id seen before raises ParseError at the record's line."""
+    try:
+        if fields[0] in utts:
+            raise ArgumentError(f"duplicate utterance id {fields[0]!r}")
+        utts[fields[0]] = Utterance(*fields, payload)
+    except ArgumentError as exc:
+        raise ParseError(path, line_no, str(exc)) from None
+
+
 def read_embeddings(path) -> UtteranceSet:
-    utts = []
+    utts = {}
     dim = None
     with _reading(path) as fh:
         for line_no, parts in _records(enumerate(fh, start=1)):
             if len(parts) < 5:
                 raise ParseError(path, line_no, f"expected at least 5 fields, got {len(parts)}")
-            utt_id, spk, gender, dataset = parts[:4]
             vec = _floats(path, [(line_no, parts[4:])], None)
             if dim is None:
                 dim = vec.shape[0]
@@ -383,11 +383,8 @@ def read_embeddings(path) -> UtteranceSet:
                 raise DimensionError(
                     f"{path}:{line_no}: embedding dim {vec.shape[0]} != {dim}"
                 )
-            try:
-                utts.append(Utterance(utt_id, spk, gender, dataset, Embedding(vec)))
-            except ArgumentError as exc:
-                raise ParseError(path, line_no, str(exc)) from None
-    return UtteranceSet(utts)
+            _add_utterance(path, line_no, utts, parts[:4], Embedding(vec))
+    return UtteranceSet(list(utts.values()))
 
 
 def write_features(utterances, path) -> None:
@@ -402,16 +399,15 @@ def write_features(utterances, path) -> None:
 
 
 def read_features(path) -> UtteranceSet:
-    utts = []
+    utts = {}
     dim = None
     with _reading(path) as fh:
         numbered = enumerate(fh, start=1)
         for line_no, parts in _records(numbered):
             if len(parts) != 6:
                 raise ParseError(path, line_no, f"expected 6 header fields, got {len(parts)}")
-            utt_id, spk, gender, dataset, t_str, d_str = parts
             try:
-                T, d = int(t_str), int(d_str)
+                T, d = int(parts[4]), int(parts[5])
             except ValueError:
                 raise ParseError(path, line_no, "T and d must be integers") from None
             if dim is None:
@@ -420,12 +416,8 @@ def read_features(path) -> UtteranceSet:
                 raise DimensionError(f"{path}:{line_no}: feature dim {d} != {dim}")
             frames = _float_block(path, numbered, line_no, T, d,
                                   f"expected {T} frame lines, file truncated")
-            try:
-                utts.append(Utterance(utt_id, spk, gender, dataset,
-                                      FeatureMatrix(frames.reshape(T, d))))
-            except ArgumentError as exc:
-                raise ParseError(path, line_no, str(exc)) from None
-    return UtteranceSet(utts)
+            _add_utterance(path, line_no, utts, parts[:4], FeatureMatrix(frames.reshape(T, d)))
+    return UtteranceSet(list(utts.values()))
 
 
 # whitespace as str.split() sees it: the ASCII part by byte, the rest turned into spaces
@@ -476,11 +468,15 @@ def _gather(fields: list, at: np.ndarray) -> list:
     return list(map(fields.__getitem__, at.tolist()))
 
 
-def write_trials(trials, path) -> None:
-    trials = TrialList.of(trials)
+def _trial_lines(trials: TrialList):
+    """One ``enroll_id test_id [label]`` line per trial."""
     suffix = map({1.0: f" {TARGET}", 0.0: f" {NONTARGET}"}.get, trials.labels.tolist(),
                  itertools.repeat(""))
-    _write_lines(path, map("%s %s%s\n".__mod__, zip(trials.enroll, trials.test, suffix)))
+    return map("%s %s%s\n".__mod__, zip(trials.enroll, trials.test, suffix))
+
+
+def write_trials(trials, path) -> None:
+    _write_lines(path, _trial_lines(TrialList.of(trials)))
 
 
 def read_trials(path) -> TrialList:
@@ -528,46 +524,6 @@ def read_scores(path) -> ScoredTrialSet:
         raise ParseError(path, int(line[i]), reason)
     return ScoredTrialSet(TrialList(_gather(fields, first), _gather(fields, first + 1),
                                     lines=line), scores)
-
-
-# ---------------------------------------------------------------------------
-# chunking
-# ---------------------------------------------------------------------------
-
-
-def chunk_utterance(f: FeatureMatrix, chunk_len: int = 2000, min_keep: int = 500):
-    """Split a feature matrix into consecutive non-overlapping chunks.
-
-    The final remainder is kept only if it has at least ``min_keep`` frames;
-    shorter tails would feed degenerate statistics pooling.
-    """
-    if chunk_len < 1:
-        raise ArgumentError(f"chunk_len must be >= 1, got {chunk_len}")
-    T = f.num_frames
-    if T == 0:
-        return []
-    out = []
-    start = 0
-    while start + chunk_len <= T:
-        out.append(FeatureMatrix(f.frames[start : start + chunk_len]))
-        start += chunk_len
-    rest = T - start
-    if rest >= min_keep:
-        out.append(FeatureMatrix(f.frames[start:]))
-    return out
-
-
-def chunk_collection(
-    utterances, chunk_len: int = 2000, min_keep: int = 500
-) -> UtteranceSet:
-    """Chunk every utterance, deriving ids like ``<utt_id>-c<k>``."""
-    out = []
-    for u in utterances:
-        for k, piece in enumerate(chunk_utterance(u.payload, chunk_len, min_keep)):
-            out.append(
-                Utterance(f"{u.id}-c{k}", u.speaker_id, u.gender, u.dataset_id, piece)
-            )
-    return UtteranceSet(out)
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +625,7 @@ def synth_features(
     return UtteranceSet(utts)
 
 
-def make_trials(utts, n_trials: int, target_ratio: float, seed: int) -> list[Trial]:
+def make_trials(utts, n_trials: int, target_ratio: float, seed: int) -> TrialList:
     """``n_trials`` distinct labelled pairs, each a target with probability ``target_ratio``.
 
     Too large a count raises ConfigError naming ``[simulate] n_dev_trials``, which sets it.
@@ -686,23 +642,20 @@ def make_trials(utts, n_trials: int, target_ratio: float, seed: int) -> list[Tri
     if n_trials > n_target + n_nontarget:
         raise ConfigError(f"[simulate] n_dev_trials = {n_trials} exceeds the "
                           f"{n_target + n_nontarget} distinct trials the dev set can form")
-    trials = []
-    seen = set()
-    while len(trials) < n_trials:
+    drawn: dict[tuple[str, str], float] = {}  # (enroll, test) -> label, in order of drawing
+    while len(drawn) < n_trials:
         if rng.random() < target_ratio:
             ids = by_spk[speakers[int(rng.integers(len(speakers)))]]
             if len(ids) < 2:
                 continue
             i, j = rng.choice(len(ids), size=2, replace=False)
-            key, label = (ids[int(i)], ids[int(j)]), TARGET
+            key, label = (ids[int(i)], ids[int(j)]), 1.0
         else:
             if len(speakers) < 2:
                 continue
             si, sj = rng.choice(len(speakers), size=2, replace=False)
             a = by_spk[speakers[int(si)]]
             b = by_spk[speakers[int(sj)]]
-            key, label = (a[int(rng.integers(len(a)))], b[int(rng.integers(len(b)))]), NONTARGET
-        if key not in seen:
-            seen.add(key)
-            trials.append(Trial(key[0], key[1], label))
-    return trials
+            key, label = (a[int(rng.integers(len(a)))], b[int(rng.integers(len(b)))]), 0.0
+        drawn.setdefault(key, label)
+    return TrialList([e for e, _ in drawn], [t for _, t in drawn], list(drawn.values()))

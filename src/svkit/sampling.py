@@ -11,23 +11,22 @@ yield 1024 trials.
 
 Each sampler call builds one speaker-pool index, ``_speaker_pools``, and
 both samplers draw from it; cross-product batches are built by
-``_cross_product``.  A cross-product batch is a block: its enroll ids, its
-test ids and their (n_e, n_t) label matrix, held as a ``CrossProduct``.  No
-``Trial`` is made unless its ``trials`` are read, and the backend scores the
-block as one matrix (see ``nplda.stack_loss_and_grads``).
+``_cross_product``.  Every batch holds its trials as a ``TrialList``; a
+cross-product batch holds a ``CrossProduct``, the TrialList that also keeps
+its enroll and its test ids, so that the backend scores the block as one
+matrix (see ``nplda.stack_loss_and_grads``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
 import numpy.random  # numpy loads it lazily: load it here, not at the first draw
 
-from .data import (NONTARGET, TARGET, Trial, TrialList, Utterance, UtteranceSet, _index_sides,
-                   _labels, _write_lines, pair_index)
+from .data import (TrialList, Utterance, UtteranceSet, _labels, _trial_lines, _write_lines,
+                   pair_index)
 from .errors import ArgumentError, SamplerError
 
 UTTS_PER_BATCH = 64
@@ -50,74 +49,61 @@ class SamplerConfig:
             raise ArgumentError(f"m_max = {self.m_max} exceeds utts_per_batch / 2")
 
 
-class CrossProduct(Sequence):
-    """Every (enroll, test) pair of two id lists as a trial, in enroll-major order.
+class CrossProduct(TrialList):
+    """Every (enroll, test) pair of two id lists as a trial list, in enroll-major order.
 
-    ``labels`` is the (n_e, n_t) 0/1 matrix of the pairs' labels.  A Trial is
-    made only when one is read.
+    ``labels`` is given as the (n_e, n_t) matrix of the pairs' labels.  ``sides``
+    keeps the two id lists, which the backend scores as one block.
     """
 
-    def __init__(self, enroll: list[str], test: list[str], labels: np.ndarray):
-        self.enroll, self.test = list(enroll), list(test)
-        self.labels = np.asarray(labels, dtype=np.float64)
-        if not self.enroll or not self.test:
+    def __init__(self, enroll: list[str], test: list[str], labels):
+        self.sides = list(enroll), list(test)
+        n_e, n_t = len(enroll), len(test)
+        if not n_e or not n_t:
             raise ArgumentError("a cross product needs enroll and test utterances")
         # a repeated id would repeat its trials
-        if len(set(self.enroll)) < len(self.enroll) or len(set(self.test)) < len(self.test):
+        if len(set(enroll)) < n_e or len(set(test)) < n_t:
             raise ArgumentError("a cross product lists each enroll and each test id once")
-        if self.labels.shape != (len(self.enroll), len(self.test)):
-            raise ArgumentError(f"label matrix has shape {self.labels.shape}, "
-                                f"expected ({len(self.enroll)}, {len(self.test)})")
-        if not np.isin(self.labels, (0.0, 1.0)).all():
-            raise ArgumentError("cross-product labels must be 0 or 1")
-
-    def __len__(self) -> int:
-        return self.labels.size
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        e, t = divmod(range(len(self))[i], len(self.test))
-        return Trial(self.enroll[e], self.test[t], TARGET if self.labels[e, t] else NONTARGET)
+        if np.shape(labels) != (n_e, n_t):
+            raise ArgumentError(f"label matrix has shape {np.shape(labels)}, "
+                                f"expected ({n_e}, {n_t})")
+        super().__init__([e for e in enroll for _ in range(n_t)], list(test) * n_e,
+                         np.ravel(labels))
 
 
 @dataclass
 class TrialBatch:
     """Trials plus the utterances they reference, indexed once when built.
 
-    ``trials`` is a CrossProduct or a TrialList; any other sequence of
-    Trials is stored as a TrialList.  ``ids`` are the sorted ids the trials
-    reference, ``e_idx``/``t_idx`` each trial's two rows among them and
-    ``labels`` the 0/1 label vector, read from the trials' columns or label
-    matrix, so building a batch makes no Trial.  A CrossProduct also sets
-    ``block``, the rows of its enroll and of its test ids, and its trials
-    come in its enroll-major order.  Training, dev selection and scoring
-    read these.  A batch cannot be built with a trial naming an utterance it
-    lacks, nor with an unlabelled trial unless built ``labelled=False`` for
-    output scoring, which leaves ``labels`` None.  gender/dataset_id are set
-    for single-partition batches and None for pooled mixed batches.
+    ``trials`` is a TrialList; any other sequence of Trials is stored as one.
+    ``ids`` are the sorted ids the trials reference, ``e_idx``/``t_idx`` each
+    trial's two rows among them and ``labels`` the 0/1 label vector, read
+    from the trials' columns, so building a batch makes no Trial.  A
+    CrossProduct is indexed by its two id lists and also sets ``block``, the
+    rows of its enroll and of its test ids.  Training, dev selection and
+    scoring read these.  A batch cannot be built with a trial naming an
+    utterance it lacks, nor with an unlabelled trial unless built
+    ``labelled=False`` for output scoring, which leaves ``labels`` None.
+    gender/dataset_id are set for single-partition batches and None for
+    pooled mixed batches.
     """
 
     utterances: UtteranceSet
-    trials: TrialList | CrossProduct
+    trials: TrialList
     gender: str | None = None
     dataset_id: str | None = None
     tag: str = ""
     labelled: InitVar[bool] = True
 
     def __post_init__(self, labelled: bool):
-        if isinstance(self.trials, CrossProduct):
-            self.ids, e_rows, t_rows = _index_sides(self.trials.enroll, self.trials.test,
-                                                    self.utterances)
-            self.block = (e_rows, t_rows)
-            self.e_idx = np.repeat(e_rows, len(t_rows))
-            self.t_idx = np.tile(t_rows, len(e_rows))
-            self.labels = self.trials.labels.ravel()
-        else:
-            self.trials = TrialList.of(self.trials)
-            self.block = None
-            self.ids, self.e_idx, self.t_idx = pair_index(self.trials, self.utterances)
-            self.labels = _labels(self.trials) if labelled else None
+        self.trials = TrialList.of(self.trials)
+        product = isinstance(self.trials, CrossProduct)
+        sides = self.trials.sides if product else (self.trials.enroll, self.trials.test)
+        self.ids, e_rows, t_rows = pair_index(*sides, self.utterances)
+        self.block = (e_rows, t_rows) if product else None
+        self.e_idx, self.t_idx = ((np.repeat(e_rows, len(t_rows)), np.tile(t_rows, len(e_rows)))
+                                  if product else (e_rows, t_rows))
+        self.labels = _labels(self.trials) if labelled else None
 
     @cached_property
     def embeddings(self) -> np.ndarray:
@@ -325,7 +311,10 @@ def sample_trials_algo1(
             quotas[k] -= 1
             drift += 1
 
-    all_trials: list[tuple[Trial, Utterance, Utterance]] = []
+    # one entry per trial: its enroll and test utterances and its 0/1 label
+    enroll: list[Utterance] = []
+    test: list[Utterance] = []
+    labels: list[float] = []
     for k in keys:
         # copies: shuffling and popping must leave the shared index as it is
         pool = {s: list(us) for s, us in pools[k].items()}
@@ -341,29 +330,28 @@ def sample_trials_algo1(
             eligible = [s for s in speakers if len(pool[s]) >= 2]
             if eligible and (want_target or len(speakers) < 2):
                 spk = eligible[int(rng.integers(len(eligible)))]
-                enroll = pool[spk].pop()
-                test = pool[spk].pop()
-                label = TARGET
+                enroll.append(pool[spk].pop())
+                test.append(pool[spk].pop())
+                labels.append(1.0)
             else:
                 se, st = rng.choice(len(speakers), size=2, replace=False)
-                enroll = pool[speakers[int(se)]].pop()
-                test = pool[speakers[int(st)]].pop()
-                label = NONTARGET
-            all_trials.append((Trial(enroll.id, test.id, label), enroll, test))
+                enroll.append(pool[speakers[int(se)]].pop())
+                test.append(pool[speakers[int(st)]].pop())
+                labels.append(0.0)
             made += 1
 
     # pooled, shuffled, then cut into batches carrying the utterances their
-    # trials reference, in order of first reference
-    flat = [all_trials[i] for i in rng.permutation(len(all_trials))]
+    # trials reference, in order of reference: no utterance repeats in an epoch
+    order = rng.permutation(len(labels)).tolist()
+    enroll, test = [enroll[i] for i in order], [test[i] for i in order]
+    shuffled = np.array(labels)[order]
     batches: list[TrialBatch] = []
-    for start in range(0, len(flat), batch_size):
-        chunk = flat[start : start + batch_size]
-        utts: dict[str, Utterance] = {}
-        for _, e, t in chunk:
-            utts.setdefault(e.id, e)
-            utts.setdefault(t.id, t)
-        batches.append(TrialBatch(UtteranceSet(list(utts.values())), [tr for tr, _, _ in chunk],
-                                  tag=f"algo1/{start // batch_size}"))
+    for start in range(0, len(order), batch_size):
+        cut = slice(start, start + batch_size)
+        batches.append(TrialBatch(
+            UtteranceSet([u for pair in zip(enroll[cut], test[cut]) for u in pair]),
+            TrialList([u.id for u in enroll[cut]], [u.id for u in test[cut]], shuffled[cut]),
+            tag=f"algo1/{start // batch_size}"))
     return batches
 
 
@@ -384,7 +372,6 @@ def write_batches(batches: list[TrialBatch], path) -> None:
         for b in batches:
             yield (f"#batch gender={b.gender or '-'} dataset={b.dataset_id or '-'} "
                    f"n_utts={len(b.utterances)} tag={b.tag}\n")
-            for t in b.trials:
-                yield f"{t.enroll_id} {t.test_id} {t.label}\n"
+            yield from _trial_lines(b.trials)
 
     _write_lines(path, lines())

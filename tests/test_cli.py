@@ -357,6 +357,26 @@ class TestLoadTimeErrors:
         assert f"{flag} = '{value}': expected {expected}" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["key.trials", "s.scores"]
 
+    @pytest.mark.parametrize("value, expected", [("-1", "at least 0"), ("x", "int")])
+    @pytest.mark.parametrize("command", ["simulate", "train", "sample", "estimate-mem"])
+    def test_seed_is_refused_naming_it_before_any_write(self, emb_workspace, trained_gplda,
+                                                        tmp_path, capsys, command, value,
+                                                        expected):
+        _, cfg, emb = emb_workspace
+        out = tmp_path / "out"
+        argv = {
+            "simulate": ["simulate", "--config", cfg, "--out", str(out)],
+            "train": ["train", "nplda", "--config", cfg,
+                      "-O", f"data.train_embeddings={emb}/train.embeddings",
+                      "--init", str(trained_gplda), "--out", str(out)],
+            "sample": ["sample", "--config", cfg, "--data", str(emb / "train.embeddings"),
+                       "--out", str(out)],
+            "estimate-mem": ["estimate-mem", "--config", cfg, "-N", "2", "-T", "50"],
+        }[command]
+        assert run(argv + ["--seed", value]) == 1
+        assert f"--seed = '{value}': expected {expected}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("key, value, expected", [
         ("lr", "-1", "a finite number > 0"),
         ("lr", "nan", "a finite number > 0"),
@@ -1010,6 +1030,17 @@ class TestInputChecks:
                     "--out", str(tmp_path / "m.gplda")]) == 1
         assert f"{single}: no speaker has two utterances" in capsys.readouterr().err
         assert not (tmp_path / "m.gplda").exists()
+
+    def test_lda_dim_above_the_data_is_fitted_and_recorded(self, emb_workspace, tmp_path):
+        # 30 speakers of dim 10: LDA finds at most 10 directions, and a warning fails the test
+        _, cfg, out = emb_workspace
+        for lda_dim in (170, 10):
+            assert run(["train", "gplda", "--config", cfg, "-O", f"gplda.lda_dim={lda_dim}",
+                        "-O", f"data.train_embeddings={out / 'train.embeddings'}",
+                        "--out", str(tmp_path / f"{lda_dim}.gplda")]) == 0
+        assert (tmp_path / "170.gplda").read_bytes() == (tmp_path / "10.gplda").read_bytes()
+        resolved = cli.Config(str(tmp_path / "170.gplda.config.ini"))
+        assert resolved["gplda", "lda_dim"] == 10
 
     @pytest.mark.parametrize("lda_dim", [0, -3])
     def test_lda_dim_below_one_names_its_key(self, emb_workspace, tmp_path, capsys, lda_dim):

@@ -49,15 +49,14 @@ class TestTypes:
         with pytest.raises(MissingIdError):
             us["nope"]
         with pytest.raises(MissingIdError) as exc:
-            data.pair_index([data.Trial("u1", "ghost")], us)
+            data.pair_index(["u1"], ["ghost"], us)
         assert "ghost" in str(exc.value)
 
 
 class TestPairIndex:
     def test_sorted_ids_and_rows(self):
         us = data.UtteranceSet([_utt(u, "s1", [1.0]) for u in ("c", "a", "b", "z")])
-        trials = [data.Trial("c", "a"), data.Trial("b", "c"), data.Trial("a", "a")]
-        ids, e_idx, t_idx = data.pair_index(trials, us)
+        ids, e_idx, t_idx = data.pair_index(["c", "b", "a"], ["a", "c", "a"], us)
         assert ids == ["a", "b", "c"]  # "z" is not referenced
         assert [ids[i] for i in e_idx] == ["c", "b", "a"]
         assert [ids[i] for i in t_idx] == ["a", "c", "a"]
@@ -65,8 +64,7 @@ class TestPairIndex:
     def test_dict_lookup_reports_every_missing_id(self):
         lookup = {"a": None}
         with pytest.raises(MissingIdError) as exc:
-            data.pair_index([data.Trial("y", "a"), data.Trial("a", "x"), data.Trial("y", "x")],
-                            lookup)
+            data.pair_index(["y", "a", "y"], ["a", "x", "x"], lookup)
         assert exc.value.ids == ["x", "y"]
 
 
@@ -172,9 +170,11 @@ READERS = {
 
 
 def _code_sites(src_dir, match):
-    """(file, innermost enclosing function) of every AST node ``match`` accepts.
+    """(file, enclosing scope) of every AST node ``match`` accepts.
 
-    Docstrings and other bare string statements are not code and are skipped.
+    The scope is the dotted path of the classes and functions around the node,
+    such as ``TrialList.__iter__``, or None at module level.  Docstrings and
+    other bare string statements are not code and are skipped.
     """
     sites = set()
 
@@ -184,8 +184,10 @@ def _code_sites(src_dir, match):
                 continue
             if match(child):
                 sites.add((path.name, scope))
-            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            visit(child, path, child.name if is_def else scope)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, path, f"{scope}.{child.name}" if scope else child.name)
+            else:
+                visit(child, path, scope)
 
     for path in sorted(Path(src_dir).glob("*.py")):
         visit(ast.parse(path.read_text()), path, None)
@@ -234,6 +236,17 @@ class TestTextLayer:
         assert exc.value.line_no == line_no
 
     @pytest.mark.parametrize("fmt, text, line_no", [
+        ("embeddings", "u1 s1 M d 1 2\nu2 s2 F d 3 4\n\nu1 s3 F d 5 6\n", 4),
+        ("features", "u1 s1 M d 1 2\n1 2\nu2 s2 F d 1 2\n3 4\nu1 s1 M d 1 2\n5 6\n", 5),
+    ], ids=["embeddings", "features"])
+    def test_repeated_id_names_its_file_and_line(self, tmp_path, fmt, text, line_no):
+        path = tmp_path / fmt
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            READERS[fmt](path)
+        assert str(exc.value) == f"{path}:{line_no}: duplicate utterance id 'u1'"
+
+    @pytest.mark.parametrize("fmt, text, line_no", [
         ("checkpoint", "svkit-params v1\nmeta kind\nend\n", 2),
         ("checkpoint", "svkit-params v1\nweights W 1 2\n1 2\nend\n", 2),
         ("checkpoint", "svkit-params v1\nparam W\nend\n", 2),
@@ -279,15 +292,28 @@ def _calls(name):
                          and getattr(node.func, "id", getattr(node.func, "attr", None)) == name)
 
 
+def _makes_trials(node):
+    """A call of Trial, or a call handed Trial, such as ``map(Trial, ...)``."""
+    return isinstance(node, ast.Call) and any(
+        isinstance(n, ast.Name) and n.id == "Trial" for n in (node.func, *node.args))
+
+
 class TestOneDerivation:
     def test_batches_are_indexed_once(self):
-        # a TrialBatch is the one index of a trial list: training steps, dev
-        # selection and every score_trials read the index a TrialBatch built
+        # a TrialBatch is the one index of a trial list, a cross product's
+        # included: training steps, dev selection and every score_trials read
+        # the index a TrialBatch built, through one call
         src = Path(data.__file__).parent
-        outside = {site for site in _code_sites(src, _calls("pair_index")) if site[0] != "data.py"}
-        assert outside == {("sampling.py", "__post_init__")}
+        assert _code_sites(src, _calls("pair_index")) == {("sampling.py",
+                                                           "TrialBatch.__post_init__")}
         assert {site for site in _code_sites(src, _calls("_labels"))
-                if site[0] != "data.py"} == {("sampling.py", "__post_init__")}
+                if site[0] != "data.py"} == {("sampling.py", "TrialBatch.__post_init__")}
+
+    def test_trials_are_made_only_from_trial_list_rows(self):
+        # trials are built and held as columns; a Trial exists only when a row is read
+        src = Path(data.__file__).parent
+        assert _code_sites(src, _makes_trials) == {("data.py", "TrialList.__getitem__"),
+                                                   ("data.py", "TrialList.__iter__")}
 
     def test_metrics_sweep_once(self):
         src = Path(data.__file__).parent
@@ -299,72 +325,9 @@ class TestMakeTrials:
     def test_one_speaker_draws_targets_only(self):
         utts = [_utt(f"u{i}", "s1", [float(i)]) for i in range(3)]
         trials = data.make_trials(utts, 5, 0.5, seed=0)
+        assert isinstance(trials, data.TrialList)
         assert len({(t.enroll_id, t.test_id) for t in trials}) == 5
         assert all(t.label == data.TARGET for t in trials)
-
-
-class TestChunking:
-    def test_exact_multiple(self):
-        f = data.FeatureMatrix(np.zeros((4000, 3)))
-        chunks = data.chunk_utterance(f)
-        assert [c.num_frames for c in chunks] == [2000, 2000]
-
-    def test_identity_case(self):
-        f = data.FeatureMatrix(np.zeros((2000, 3)))
-        assert [c.num_frames for c in data.chunk_utterance(f)] == [2000]
-
-    def test_remainder_kept_at_min_keep(self):
-        f = data.FeatureMatrix(np.zeros((4500, 3)))
-        assert [c.num_frames for c in data.chunk_utterance(f, 2000, 500)] == [2000, 2000, 500]
-
-    def test_remainder_below_min_keep_dropped(self):
-        f = data.FeatureMatrix(np.zeros((4499, 3)))
-        assert [c.num_frames for c in data.chunk_utterance(f, 2000, 500)] == [2000, 2000]
-
-    def test_empty_input(self):
-        f = data.FeatureMatrix(np.zeros((0, 3)))
-        assert data.chunk_utterance(f) == []
-
-    def test_chunk_length_property(self):
-        # a dropped remainder is < min_keep, so the total kept is within
-        # min_keep of T; when min_keep <= (chunk_len + 1) / 2 this implies
-        # the coarser bound total >= T - chunk_len + min_keep
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            T = int(rng.integers(1, 7000))
-            chunk_len = int(rng.integers(1, 2500))
-            min_keep = int(rng.integers(1, chunk_len + 1))
-            f = data.FeatureMatrix(np.zeros((T, 2)))
-            chunks = data.chunk_utterance(f, chunk_len, min_keep)
-            lens = [c.num_frames for c in chunks]
-            assert all(l == chunk_len for l in lens[:-1])
-            if lens:
-                assert lens[-1] == chunk_len or min_keep <= lens[-1] < chunk_len
-            assert T - min_keep + 1 <= sum(lens) <= T or (not lens and T < min_keep)
-            if 2 * min_keep <= chunk_len + 1 and lens:
-                assert T - chunk_len + min_keep <= sum(lens) <= T
-
-    def test_content_preserved(self):
-        rng = np.random.default_rng(4)
-        frames = rng.standard_normal((450, 2))
-        f = data.FeatureMatrix(frames)
-        chunks = data.chunk_utterance(f, 200, 50)
-        assert np.array_equal(np.vstack([c.frames for c in chunks]), frames)
-
-    def test_chunk_collection_ids_and_metadata(self):
-        rng = np.random.default_rng(5)
-        utts = [
-            data.Utterance("uA", "s1", "M", "d1", data.FeatureMatrix(rng.standard_normal((450, 2)))),
-            data.Utterance("uB", "s2", "F", "d2", data.FeatureMatrix(rng.standard_normal((180, 2)))),
-        ]
-        out = data.chunk_collection(utts, chunk_len=200, min_keep=50)
-        assert [u.id for u in out] == ["uA-c0", "uA-c1", "uA-c2", "uB-c0"]
-        by_id = {u.id: u for u in out}
-        assert by_id["uA-c2"].payload.num_frames == 50
-        assert by_id["uB-c0"].speaker_id == "s2"
-        assert by_id["uB-c0"].gender == "F"
-        assert by_id["uB-c0"].dataset_id == "d2"
-        assert by_id["uB-c0"].payload.num_frames == 180
 
 
 class TestSynthEmbeddings:

@@ -162,7 +162,7 @@ class TestScoreTrialBatch:
         model = e2e.init_e2e(tiny_config(), seed=41)
         batch = mixed_length_batch(rng)
         utts = batch.utterances
-        ids, _, _ = data.pair_index(batch.trials, utts)
+        ids, _, _ = data.pair_index(batch.trials.enroll, batch.trials.test, utts)
         X, _ = e2e._embed(model, [utts[u].payload.frames for u in ids], with_cache=False)
         for row, u in enumerate(ids):
             np.testing.assert_allclose(X[row], e2e.extract_embedding(model, utts[u].payload),

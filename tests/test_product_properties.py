@@ -69,9 +69,11 @@ def test_block_matches_gather(case, alpha, theta):
 def test_trials_are_the_enroll_major_product(case):
     batch, _, _ = case
     p = batch.trials
-    want = [data.Trial(e, t, data.TARGET if p.labels[i, j] else data.NONTARGET)
-            for i, e in enumerate(p.enroll) for j, t in enumerate(p.test)]
+    enroll, test = p.sides
+    labels = p.labels.reshape(len(enroll), len(test))
+    want = [data.Trial(e, t, data.TARGET if labels[i, j] else data.NONTARGET)
+            for i, e in enumerate(enroll) for j, t in enumerate(test)]
     assert list(p) == want
     assert len(p) == len(want)
     assert p[-1] == want[-1] and p[1:3] == want[1:3]
-    assert batch.ids == sorted({*p.enroll, *p.test})
+    assert batch.ids == sorted({*enroll, *test})

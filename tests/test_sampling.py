@@ -263,7 +263,8 @@ class TestBatchIndex:
     def test_index_and_labels_match_the_trials(self, sample):
         batches = sample(make_utts(n_speakers=40, utts_per_speaker=40, genders=("M", "F")))
         for batch in batches:
-            ids, e_idx, t_idx = data.pair_index(batch.trials, batch.utterances)
+            ids, e_idx, t_idx = data.pair_index(batch.trials.enroll, batch.trials.test,
+                                                batch.utterances)
             assert batch.ids == ids
             assert np.array_equal(batch.e_idx, e_idx)
             assert np.array_equal(batch.t_idx, t_idx)
